@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .scer import ScerKind, TokenSeq, equiv, prev_encode
+from .scer import ScerKind, TokenSeq, equiv
 
 
 def validate_border_array(values: Sequence[int]) -> None:
@@ -45,36 +45,34 @@ class BorderBuilder:
         self.kind = kind
         self.values: list[int] = []
         self.link_follows = 0
-        self._prev: list[int] = []  # prev-encoding of the text so far
+        # One code per position: param stores the prev distance, which window
+        # offset b clips to 0 when it exceeds b; identity stores ~token, which
+        # is negative and so never clipped.
+        self._codes: list[int] = []
         self._last: dict[int, int] = {}
-        self._tokens: list[int] = []
-
-    def _code(self, i: int, offset: int) -> int:
-        # Token at text index i viewed at window offset `offset` (both 0-based).
-        if self.kind is ScerKind.IDENTITY:
-            return self._tokens[i]
-        p = self._prev[i]
-        return p if p <= offset else 0
 
     def push(self, token: int) -> int:
-        i = len(self._tokens)
-        self._tokens.append(token)
-        j = self._last.get(token)
-        self._prev.append(0 if j is None else i - j)
-        self._last[token] = i
-
-        if i == 0:
-            self.values.append(0)
-            return 0
-        b = self.values[i - 1]
-        while b > 0 and self._code(i, b) != self._code(b, b):
-            b = self.values[b - 1]
-            self.link_follows += 1
-        if self._code(i, b) == self._code(b, b):
-            b += 1
+        codes, values = self._codes, self.values
+        i = len(codes)
+        if self.kind is ScerKind.IDENTITY:
+            c = ~token
         else:
-            b = 0
-        self.values.append(b)
+            j = self._last.get(token)
+            c = 0 if j is None else i - j
+            self._last[token] = i
+        codes.append(c)
+        if i == 0:
+            values.append(0)
+            return 0
+        # codes[b] needs no clipping: every prev distance is <= its index
+        b = values[i - 1]
+        follows = 0
+        while b > 0 and (c if c <= b else 0) != codes[b]:
+            b = values[b - 1]
+            follows += 1
+        b = b + 1 if (c if c <= b else 0) == codes[b] else 0
+        values.append(b)
+        self.link_follows += follows
         return b
 
     def extend(self, tokens: Sequence[int]) -> list[int]:
@@ -91,13 +89,13 @@ def border_array_generic(text: Sequence[int], kind: ScerKind) -> list[int]:
     (rather than chasing failure links) is unconditionally correct for
     every relation, at O(n^2) cost per equivalence check.
     """
-    t = TokenSeq(text) if not isinstance(text, TokenSeq) else text
+    t = tuple(TokenSeq(text))  # validated once; slices below are plain tuples
     values: list[int] = []
     for i in range(1, len(t) + 1):
         b = values[-1] + 1 if values else 0
         if b >= i:
             b = i - 1
-        while b > 0 and not equiv(t.prefix(b), t.substring(i - b + 1, i), kind):
+        while b > 0 and not equiv(t[:b], t[i - b:i], kind):
             b -= 1
         values.append(b)
     return values

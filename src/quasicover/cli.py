@@ -2,8 +2,9 @@
 
 Reads a byte or token text, picks an equivalence relation, and emits any
 subset of {border, scover, lcover, covers, lseeds} as TSV or JSON. With
---stream, one row per prefix is emitted as positions arrive (identity and
-parameterized only; the order-isomorphism border builder is not online).
+--stream, one row per prefix is emitted (identity and parameterized only;
+the order-isomorphism border builder is not online), but only after the
+whole input has been read.
 
 Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -42,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="compute everything with the brute-force reference implementations")
     p.add_argument("--stream", action="store_true",
-                   help="emit one row per prefix as positions arrive")
+                   help="emit one row per prefix (the whole input is read first)")
     return p
 
 
@@ -114,12 +116,10 @@ def _stream(text: TokenSeq, kind: ScerKind, arrays: list[str], fmt: str, out) ->
     builder = border_mod.BorderBuilder(kind)
     sc = covers_mod.ShortestCoverBuilder()
     lc = covers_mod.LongestCoverBuilder()
-    border_values: list[int] = []
     if fmt == "tsv":
         out.write("i\t" + "\t".join(arrays) + "\n")
     for i, token in enumerate(text, start=1):
         b = builder.push(token)
-        border_values.append(b)
         sc.push(b)
         lc.push(b)
         row: dict[str, object] = {"i": i}
@@ -129,16 +129,10 @@ def _stream(text: TokenSeq, kind: ScerKind, arrays: list[str], fmt: str, out) ->
             row["scover"] = sc.scover[-1]
         if "lcover" in arrays:
             row["lcover"] = lc.lcover[-1]
-        if "covers" in arrays or "lseeds" in arrays:
-            lca = covers_mod.LongestCoverArray(
-                lcover=tuple(lc.lcover[1:]),
-                ls_children=tuple(lc.ls_children),
-                longest_ls_anc=tuple(lc.longest_ls_anc),
-            )
-            if "covers" in arrays:
-                row["covers"] = covers_mod.all_cover_lengths(lca, i)
-            if "lseeds" in arrays:
-                row["lseeds"] = covers_mod.left_seed_lengths(border_values, lca, i)
+        if "covers" in arrays:
+            row["covers"] = covers_mod.all_cover_lengths(lc, i)
+        if "lseeds" in arrays:
+            row["lseeds"] = covers_mod.left_seed_lengths(builder.values, lc, i)
         if fmt == "json":
             json.dump(row, out)
             out.write("\n")
@@ -200,6 +194,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             result = _compute_batch(text, kind, arrays, border, args.oracle)
             n = len(border) if border is not None else len(text)
             _emit_batch(result, arrays, args.format, n, kind.value, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; point it at devnull so that the
+        # interpreter's final flush of the buffered rest stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ class LongestCoverArray:
     """Per-prefix longest proper cover lengths and the cover-tree state.
 
     lcover[i-1] is the longest proper cover length of T[:i], 0 if none.
-    The cover tree has nodes 0..n with parent(i) = lcover[i] and root 0;
+    The cover tree has nodes 0..n with parent(i) = lcover[i-1] and root 0;
     ls_children / longest_ls_anc are the auxiliary arrays at completion,
     indexed 0..n. dead is populated only by the descending-loop variant.
     """
@@ -80,51 +80,63 @@ class ShortestCoverBuilder:
 class LongestCoverBuilder:
     """Online longest-cover-array computation from streamed border values.
 
-    Grows the cover tree one node per prefix. ls_children[j] counts
+    Grows the cover tree one node per prefix. lcover has the layout of
+    LongestCoverArray.lcover (lcover[i-1] is the parent of node i), so the
+    cover-tree queries accept a builder directly. ls_children[j] counts
     children of j that are left seeds of the current prefix;
-    longest_ls_anc[j] is the lowest left-seed ancestor of j. The inner
-    loop walks prefix lengths ascending, which keeps every node's
-    children count from being decremented after it reaches zero.
+    longest_ls_anc[j] is the lowest left-seed ancestor of j; both are
+    indexed 0..n. The inner loop walks prefix lengths ascending, which
+    keeps every node's children count from being decremented after it
+    reaches zero.
     """
 
     def __init__(self) -> None:
-        self.lcover: list[int] = [0]  # node-indexed; entry 0 is the root sentinel
+        self.lcover: list[int] = []
         self.ls_children: list[int] = [0]
         self.longest_ls_anc: list[int] = [0]
         self.while_successes = 0
         self.op_count = 0
         self.trace: list[int] | None = None  # set to [] to record retired nodes
+        # called as (i, builder) right after the children-count increment
+        self.after_increment: StateObserver | None = None
         self._prev_border = 0
 
     def push(self, b: int) -> int:
-        i = len(self.lcover)
-        if not (0 <= b < i) or b > self._prev_border + 1:
+        lcover, children, anc = self.lcover, self.ls_children, self.longest_ls_anc
+        i = len(lcover) + 1
+        prev = self._prev_border
+        if not (0 <= b < i) or b > prev + 1:
             raise ValueError(f"invalid border value {b} at position {i}")
-        self.ls_children.append(0)
-        self.longest_ls_anc.append(i)
+        children.append(0)
+        anc.append(i)
 
-        if self.ls_children[b] == 0 and 0 < 2 * b < i:
-            self.longest_ls_anc[b] = self.longest_ls_anc[self.lcover[b]]
-        lc = self.longest_ls_anc[b]
-        self.lcover.append(lc)
-        self.ls_children[lc] += 1
-        self.op_count += 1
+        if children[b] == 0 and 0 < 2 * b < i:
+            anc[b] = anc[lcover[b - 1]]
+        lc = anc[b]
+        lcover.append(lc)
+        children[lc] += 1
+        if self.after_increment is not None:
+            self.after_increment(i, self)
+        steps = 1
+        retired = 0
         if i > 1:
-            c1 = i - b
-            c2 = (i - 1) - self._prev_border
-            for j in range(c2, c1):
-                self.op_count += 1
-                while self.ls_children[j] == 0:
-                    if self.trace is not None:
-                        self.trace.append(j)
-                    self.ls_children[self.lcover[j]] -= 1
-                    j = self.lcover[j]
-                    self.while_successes += 1
-                    self.op_count += 1
+            trace = self.trace
+            for j in range(i - 1 - prev, i - b):
+                steps += 1
+                while children[j] == 0:
+                    if trace is not None:
+                        trace.append(j)
+                    j = lcover[j - 1]
+                    children[j] -= 1
+                    retired += 1
+        self.while_successes += retired
+        self.op_count += steps + retired
         self._prev_border = b
         return lc
 
 
+# A string: typing caches subscriptions, and a class key would keep every
+# re-imported copy of this module alive.
 StateObserver = Callable[[int, "LongestCoverBuilder"], None]
 
 
@@ -160,45 +172,18 @@ def longest_cover_array(
     children-count increment and at the end of each prefix's iteration.
     """
     builder = LongestCoverBuilder()
+    builder.after_increment = after_increment
     for i, b in enumerate(border, start=1):
-        if after_increment is None:
-            builder.push(b)
-        else:
-            _push_observed(builder, b, after_increment)
+        builder.push(b)
         if after_iteration is not None:
             after_iteration(i, builder)
     return LongestCoverArray(
-        lcover=tuple(builder.lcover[1:]),
+        lcover=tuple(builder.lcover),
         ls_children=tuple(builder.ls_children),
         longest_ls_anc=tuple(builder.longest_ls_anc),
         while_successes=builder.while_successes,
         op_count=builder.op_count,
     )
-
-
-def _push_observed(builder: LongestCoverBuilder, b: int, after_increment: StateObserver) -> None:
-    # Same as LongestCoverBuilder.push but with a hook between the
-    # children-count increment and the inner loop.
-    i = len(builder.lcover)
-    if not (0 <= b < i) or b > builder._prev_border + 1:
-        raise ValueError(f"invalid border value {b} at position {i}")
-    builder.ls_children.append(0)
-    builder.longest_ls_anc.append(i)
-    if builder.ls_children[b] == 0 and 0 < 2 * b < i:
-        builder.longest_ls_anc[b] = builder.longest_ls_anc[builder.lcover[b]]
-    lc = builder.longest_ls_anc[b]
-    builder.lcover.append(lc)
-    builder.ls_children[lc] += 1
-    after_increment(i, builder)
-    if i > 1:
-        c1 = i - b
-        c2 = (i - 1) - builder._prev_border
-        for j in range(c2, c1):
-            while builder.ls_children[j] == 0:
-                builder.ls_children[builder.lcover[j]] -= 1
-                j = builder.lcover[j]
-                builder.while_successes += 1
-    builder._prev_border = b
 
 
 @dataclass
@@ -219,6 +204,8 @@ def longest_cover_array_li_smyth(
     processes the vacated prefix-length range top-down, which requires
     marking already-retired nodes as dead so they are not decremented
     twice. The internal parent of the root is -1 and never exported.
+    while_successes counts the nodes marked dead and op_count counts outer
+    steps, inner-loop steps and retirements, as in longest_cover_array.
     """
     from .border import validate_border_array
 
@@ -237,6 +224,7 @@ def longest_cover_array_li_smyth(
             st.ls_children[st.lcover[j]] -= 1
             j = st.lcover[j]
 
+    steps = 0
     for i in range(1, n + 1):
         b = border[i - 1]
         if st.dead[b]:
@@ -245,16 +233,21 @@ def longest_cover_array_li_smyth(
         st.ls_children[st.lcover[i]] += 1
         if after_increment is not None:
             after_increment(i, st)
+        steps += 1
         if i > 1:
             c1 = i - b
             c2 = (i - 1) - border[i - 2]
+            steps += c1 - c2
             for j in range(c1 - 1, c2 - 1, -1):
                 set_dead(j)
+    retired = sum(st.dead)
     return LongestCoverArray(
         lcover=tuple(st.lcover[1:]),
         ls_children=tuple(st.ls_children),
         longest_ls_anc=tuple(st.longest_ls_anc),
         dead=tuple(st.dead),
+        while_successes=retired,
+        op_count=steps + retired,
     )
 
 

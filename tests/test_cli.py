@@ -1,10 +1,15 @@
 """Command-line behavior: formats, flags, exit codes, streaming."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quasicover
 from conftest import TABLE1_BORDER, TABLE1_LCOVER, TABLE1_SCOVER
 from quasicover.cli import main
 
@@ -179,20 +184,22 @@ class TestStreaming:
 
     def test_stream_covers_and_lseeds_prefix_consistent(self, capsys, tmp_path):
         rng = random.Random(4)
-        text = "".join(rng.choice("ab") for _ in range(60))
-        path = tmp_path / "t.txt"
-        path.write_text(text)
-        argv = ["--arrays", "covers,lseeds", str(path)]
-        rows = self.stream_rows(capsys, argv)
-        # each streamed row equals a batch run over that prefix
-        for i in (1, 7, 30, 60):
-            prefix_path = tmp_path / f"p{i}.txt"
-            prefix_path.write_text(text[:i])
-            code, out, _ = run_cli(capsys, argv[:2] + [str(prefix_path), "--format", "json"])
-            assert code == 0
-            batch = json.loads(out)
-            assert rows[i - 1]["covers"] == batch["covers"]
-            assert rows[i - 1]["lseeds"] == batch["lseeds"]
+        for scer in ("identity", "param"):
+            for alphabet in ("ab", "abc"):
+                text = "".join(rng.choice(alphabet) for _ in range(60))
+                path = tmp_path / "t.txt"
+                path.write_text(text)
+                argv = ["--scer", scer, "--arrays", "covers,lseeds"]
+                rows = self.stream_rows(capsys, argv + [str(path)])
+                assert len(rows) == len(text)
+                # each streamed row equals a batch run over that prefix
+                for i in range(1, len(text) + 1):
+                    path.write_text(text[:i])
+                    code, out, _ = run_cli(capsys, argv + [str(path), "--format", "json"])
+                    assert code == 0
+                    batch = json.loads(out)
+                    assert rows[i - 1]["covers"] == batch["covers"], (scer, alphabet, i)
+                    assert rows[i - 1]["lseeds"] == batch["lseeds"], (scer, alphabet, i)
 
     def test_stream_tsv_row_shape(self, capsys, example_file):
         code, out, _ = run_cli(capsys, ["--arrays", "border,covers", example_file, "--stream"])
@@ -201,3 +208,18 @@ class TestStreaming:
         assert lines[0] == "i\tborder\tcovers"
         assert lines[1] == "1\t0\t1"
         assert lines[-1].startswith("16\t8\t")
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_bytes(bytes(random.Random(5).choice(b"ab") for _ in range(100_000)))
+        src = str(Path(quasicover.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with path.open("rb") as stdin, (tmp_path / "err.txt").open("wb") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "quasicover.cli", "--stream", "-"],
+                                    stdin=stdin, stdout=subprocess.PIPE, stderr=err, env=env)
+            assert proc.stdout.readline() == b"i\tborder\tscover\tlcover\n"
+            assert proc.stdout.readline() == b"1\t0\t1\t0\n"
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        assert code == 1
+        assert (tmp_path / "err.txt").read_bytes() == b""

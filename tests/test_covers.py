@@ -177,8 +177,10 @@ class TestOracleEquivalence:
             b = border_array(s, kind)
             assert list(shortest_cover_array(b).scover) == brute_scover(s, kind)
             expected = brute_lcover(s, kind)
-            assert list(longest_cover_array(b).lcover) == expected
-            assert list(longest_cover_array_li_smyth(b).lcover) == expected
+            lca, ls = longest_cover_array(b), longest_cover_array_li_smyth(b)
+            assert list(lca.lcover) == expected
+            assert list(ls.lcover) == expected
+            assert (ls.op_count, ls.while_successes) == (lca.op_count, lca.while_successes)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_left_seeds_match_brute_force(self, kind):
@@ -243,7 +245,7 @@ class TestAlgorithmInvariants:
                 assert builder.ls_children[j] == expected
             # lcover entries settled so far
             for j in range(1, i + 1):
-                assert builder.lcover[j] == true_lcover[j]
+                assert builder.lcover[j - 1] == true_lcover[j]
             # lowest left-seed ancestor for j up to Border[i]
             for j in range(0, b[i - 1] + 1):
                 candidates = [l for l in seeds if l in cov_set(s[:j], kind)] if j else []
@@ -282,10 +284,17 @@ class TestLinearity:
     def test_inner_loop_work_bounded(self):
         rng = random.Random(7)
         text = [rng.randrange(2) for _ in range(5000)]
-        b = border_array(text, ScerKind.IDENTITY)
-        lca = longest_cover_array(b)
-        # outer n iterations + telescoping inner-for range + <= n retirements
-        assert lca.op_count <= 3 * len(text)
+        for kind in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
+            b = border_array(text, kind)
+            lca = longest_cover_array(b)
+            # outer n iterations + telescoping inner-for range + <= n retirements
+            assert lca.op_count <= 3 * len(text)
+            # observers and the descending variant count the same work
+            hooked = longest_cover_array(b, after_increment=lambda i, builder: None,
+                                         after_iteration=lambda i, builder: None)
+            for other in (hooked, longest_cover_array_li_smyth(b)):
+                assert (other.op_count, other.while_successes) == (
+                    lca.op_count, lca.while_successes)
 
     def test_shortest_builder_constant_work_per_step(self):
         builder = ShortestCoverBuilder()
