@@ -5,9 +5,7 @@ cover-tree queries, and left seeds, with brute-force reference oracles."""
 from .border import BorderBuilder, border_array, border_array_generic, validate_border_array
 from .covers import (
     LongestCoverArray,
-    LongestCoverBuilder,
     ShortestCoverArray,
-    ShortestCoverBuilder,
     all_cover_lengths,
     is_primitive,
     left_seed_lengths,
@@ -20,10 +18,8 @@ from .scer import ScerKind, TokenSeq, equiv, prev_encode, rank_signature
 __all__ = [
     "BorderBuilder",
     "LongestCoverArray",
-    "LongestCoverBuilder",
     "ScerKind",
     "ShortestCoverArray",
-    "ShortestCoverBuilder",
     "TokenSeq",
     "all_cover_lengths",
     "border_array",

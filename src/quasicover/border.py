@@ -34,9 +34,9 @@ def validate_border_array(values: Sequence[int]) -> None:
 class BorderBuilder:
     """Online border-array builder for identity and parameterized matching.
 
-    Feed tokens one at a time with push(); `values` holds the border array
-    of the tokens seen so far. `link_follows` counts failure-link descents
-    (amortized, at most 2n over the whole run).
+    Feed non-negative integer tokens one at a time with push(); `values`
+    holds the border array of the tokens seen so far. `link_follows`
+    counts failure-link descents (amortized, at most 2n over the whole run).
     """
 
     def __init__(self, kind: ScerKind):
@@ -47,13 +47,15 @@ class BorderBuilder:
         self.link_follows = 0
         # One code per position: param stores the prev distance, which window
         # offset b clips to 0 when it exceeds b; identity stores ~token, which
-        # is negative and so never clipped.
+        # is negative for every accepted token and so never clipped.
         self._codes: list[int] = []
         self._last: dict[int, int] = {}
 
     def push(self, token: int) -> int:
         codes, values = self._codes, self.values
         i = len(codes)
+        if token < 0:
+            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
         if self.kind is ScerKind.IDENTITY:
             c = ~token
         else:

@@ -85,13 +85,13 @@ def _compute_batch(text: TokenSeq, kind: ScerKind, arrays: list[str],
         border = border_mod.border_array(text, kind)
     out = {}
     if "border" in arrays:
-        out["border"] = list(border)
+        out["border"] = border
     if "scover" in arrays:
-        out["scover"] = list(covers_mod.shortest_cover_array(border).scover)
+        out["scover"] = covers_mod.shortest_cover_array(border).scover
     if any(a in arrays for a in ("lcover", "covers", "lseeds")):
         lca = covers_mod.longest_cover_array(border)
         if "lcover" in arrays:
-            out["lcover"] = list(lca.lcover)
+            out["lcover"] = lca.lcover
         if "covers" in arrays:
             out["covers"] = covers_mod.all_cover_lengths(lca, n) if n else []
         if "lseeds" in arrays:
@@ -114,8 +114,8 @@ def _emit_batch(result: dict[str, list[int]], arrays: list[str], fmt: str,
 
 def _stream(text: TokenSeq, kind: ScerKind, arrays: list[str], fmt: str, out) -> None:
     builder = border_mod.BorderBuilder(kind)
-    sc = covers_mod.ShortestCoverBuilder()
-    lc = covers_mod.LongestCoverBuilder()
+    sc = covers_mod.ShortestCoverArray()
+    lc = covers_mod.LongestCoverArray()
     if fmt == "tsv":
         out.write("i\t" + "\t".join(arrays) + "\n")
     for i, token in enumerate(text, start=1):
@@ -160,6 +160,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.stream and (args.oracle or args.border_file):
         print("error: --stream cannot be combined with --oracle or --border-file",
               file=sys.stderr)
+        return 2
+    if args.border_file is not None and args.input != "-":
+        print("error: --border-file replaces INPUT; drop one of them", file=sys.stderr)
         return 2
     if args.oracle and args.border_file:
         print("error: --oracle recomputes from the text; drop --border-file", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Shortest and longest cover arrays, cover-tree queries, and left seeds.
 
 Everything here consumes only a border array; the equivalence relation is
-fully encoded in it. Both array algorithms are online: the builders accept
-one border value per prefix and can be driven incrementally (the CLI's
-streaming mode does exactly that). Batch wrappers are provided for the
-common case.
+fully encoded in it. Each array algorithm is one online class whose push()
+takes one border value per prefix and extends its arrays in place. The
+batch functions are plain push loops that return that object, and the
+CLI's streaming mode drives the same classes one value at a time.
 """
 
 from __future__ import annotations
@@ -13,50 +13,20 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass
 class ShortestCoverArray:
-    """Per-prefix shortest cover lengths plus the final reach state.
+    """Online shortest cover array; push() takes one border value per prefix.
 
     scover[i-1] is the length of the shortest cover of T[:i] (equal to i
     exactly when T[:i] is primitive). reach[j-1] is the longest prefix
-    length that the primitive prefix T[:j] covers, 0 for non-primitive j.
+    length that the primitive prefix T[:j] covers so far, 0 for
+    non-primitive j.
     """
 
-    scover: tuple[int, ...]
-    reach: tuple[int, ...]
+    scover: list[int] = field(default_factory=list)
+    reach: list[int] = field(default_factory=list)
     op_count: int = 0
-
-
-@dataclass(frozen=True)
-class LongestCoverArray:
-    """Per-prefix longest proper cover lengths and the cover-tree state.
-
-    lcover[i-1] is the longest proper cover length of T[:i], 0 if none.
-    The cover tree has nodes 0..n with parent(i) = lcover[i-1] and root 0;
-    ls_children / longest_ls_anc are the auxiliary arrays at completion,
-    indexed 0..n. dead is populated only by the descending-loop variant.
-    """
-
-    lcover: tuple[int, ...]
-    ls_children: tuple[int, ...]
-    longest_ls_anc: tuple[int, ...]
-    dead: tuple[bool, ...] | None = None
-    while_successes: int = 0
-    op_count: int = 0
-
-
-class ShortestCoverBuilder:
-    """Online shortest-cover-array computation from streamed border values.
-
-    Maintains the invariant that reach[j] is the longest prefix covered by
-    the primitive prefix T[:j] seen so far (0 for non-primitive or unseen j).
-    """
-
-    def __init__(self) -> None:
-        self.scover: list[int] = []
-        self.reach: list[int] = []  # reach[j-1] for prefix length j
-        self.op_count = 0
-        self._prev_border = 0
+    _prev_border: int = field(default=0, compare=False, repr=False)
 
     def push(self, b: int) -> int:
         i = len(self.scover) + 1
@@ -77,29 +47,32 @@ class ShortestCoverBuilder:
         return i
 
 
-class LongestCoverBuilder:
-    """Online longest-cover-array computation from streamed border values.
+@dataclass
+class LongestCoverArray:
+    """Online longest proper cover array and cover tree; push() takes one
+    border value per prefix and grows the tree by one node.
 
-    Grows the cover tree one node per prefix. lcover has the layout of
-    LongestCoverArray.lcover (lcover[i-1] is the parent of node i), so the
-    cover-tree queries accept a builder directly. ls_children[j] counts
-    children of j that are left seeds of the current prefix;
-    longest_ls_anc[j] is the lowest left-seed ancestor of j; both are
-    indexed 0..n. The inner loop walks prefix lengths ascending, which
-    keeps every node's children count from being decremented after it
-    reaches zero.
+    lcover[i-1] is the longest proper cover length of T[:i], 0 if none.
+    The cover tree has nodes 0..n with parent(i) = lcover[i-1] and root 0.
+    ls_children[j] counts children of j that are left seeds of the current
+    prefix; longest_ls_anc[j] is the lowest left-seed ancestor of j; both
+    are indexed 0..n. dead is set only by longest_cover_array_li_smyth.
+    push's inner loop walks prefix lengths ascending, which keeps every
+    node's children count from being decremented after it reaches zero.
     """
 
-    def __init__(self) -> None:
-        self.lcover: list[int] = []
-        self.ls_children: list[int] = [0]
-        self.longest_ls_anc: list[int] = [0]
-        self.while_successes = 0
-        self.op_count = 0
-        self.trace: list[int] | None = None  # set to [] to record retired nodes
-        # called as (i, builder) right after the children-count increment
-        self.after_increment: StateObserver | None = None
-        self._prev_border = 0
+    lcover: list[int] = field(default_factory=list)
+    ls_children: list[int] = field(default_factory=lambda: [0])
+    longest_ls_anc: list[int] = field(default_factory=lambda: [0])
+    dead: list[bool] | None = None
+    while_successes: int = 0
+    op_count: int = 0
+    # set to [] to record retired nodes
+    trace: list[int] | None = field(default=None, compare=False)
+    # called as (i, self) right after the children-count increment
+    after_increment: Callable[[int, LongestCoverArray], None] | None = field(
+        default=None, compare=False)
+    _prev_border: int = field(default=0, compare=False, repr=False)
 
     def push(self, b: int) -> int:
         lcover, children, anc = self.lcover, self.ls_children, self.longest_ls_anc
@@ -135,55 +108,20 @@ class LongestCoverBuilder:
         return lc
 
 
-# A string: typing caches subscriptions, and a class key would keep every
-# re-imported copy of this module alive.
-StateObserver = Callable[[int, "LongestCoverBuilder"], None]
+def shortest_cover_array(border: Sequence[int]) -> ShortestCoverArray:
+    """Shortest cover array from a border array."""
+    sca = ShortestCoverArray()
+    for b in border:
+        sca.push(b)
+    return sca
 
 
-def shortest_cover_array(
-    border: Sequence[int],
-    after_iteration: Callable[[int, ShortestCoverBuilder], None] | None = None,
-) -> ShortestCoverArray:
-    """Shortest cover array from a border array.
-
-    `after_iteration(i, builder)`, if given, is called once per prefix with
-    the builder state; tests use it to check the online invariants.
-    """
-    builder = ShortestCoverBuilder()
-    for i, b in enumerate(border, start=1):
-        builder.push(b)
-        if after_iteration is not None:
-            after_iteration(i, builder)
-    return ShortestCoverArray(
-        scover=tuple(builder.scover),
-        reach=tuple(builder.reach),
-        op_count=builder.op_count,
-    )
-
-
-def longest_cover_array(
-    border: Sequence[int],
-    after_increment: StateObserver | None = None,
-    after_iteration: StateObserver | None = None,
-) -> LongestCoverArray:
-    """Longest proper cover array from a border array (ascending inner loop).
-
-    The observers, if given, are called with (i, builder) right after the
-    children-count increment and at the end of each prefix's iteration.
-    """
-    builder = LongestCoverBuilder()
-    builder.after_increment = after_increment
-    for i, b in enumerate(border, start=1):
-        builder.push(b)
-        if after_iteration is not None:
-            after_iteration(i, builder)
-    return LongestCoverArray(
-        lcover=tuple(builder.lcover),
-        ls_children=tuple(builder.ls_children),
-        longest_ls_anc=tuple(builder.longest_ls_anc),
-        while_successes=builder.while_successes,
-        op_count=builder.op_count,
-    )
+def longest_cover_array(border: Sequence[int]) -> LongestCoverArray:
+    """Longest proper cover array from a border array (ascending inner loop)."""
+    lca = LongestCoverArray()
+    for b in border:
+        lca.push(b)
+    return lca
 
 
 @dataclass
@@ -206,6 +144,7 @@ def longest_cover_array_li_smyth(
     twice. The internal parent of the root is -1 and never exported.
     while_successes counts the nodes marked dead and op_count counts outer
     steps, inner-loop steps and retirements, as in longest_cover_array.
+    The result's push() continues the text with the ascending loop.
     """
     from .border import validate_border_array
 
@@ -242,12 +181,13 @@ def longest_cover_array_li_smyth(
                 set_dead(j)
     retired = sum(st.dead)
     return LongestCoverArray(
-        lcover=tuple(st.lcover[1:]),
-        ls_children=tuple(st.ls_children),
-        longest_ls_anc=tuple(st.longest_ls_anc),
-        dead=tuple(st.dead),
+        lcover=st.lcover[1:],
+        ls_children=st.ls_children,
+        longest_ls_anc=st.longest_ls_anc,
+        dead=st.dead,
         while_successes=retired,
         op_count=steps + retired,
+        _prev_border=border[-1] if n else 0,
     )
 
 

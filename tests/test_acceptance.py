@@ -31,8 +31,8 @@ from helpers import (
 from quasicover.border import BorderBuilder, border_array
 from quasicover.cli import main as cli_main
 from quasicover.covers import (
-    LongestCoverBuilder,
-    ShortestCoverBuilder,
+    LongestCoverArray,
+    ShortestCoverArray,
     left_seed_lengths,
     longest_cover_array,
     longest_cover_array_li_smyth,
@@ -78,7 +78,10 @@ def test_criterion_3_aab_trace():
     def grab(i, builder):
         snapshots[i] = list(builder.ls_children)
 
-    assert list(longest_cover_array(border, after_increment=grab).lcover) == [0, 1, 0]
+    lca = LongestCoverArray(after_increment=grab)
+    for b in border:
+        lca.push(b)
+    assert list(lca.lcover) == [0, 1, 0]
     assert snapshots[3] == [2, 1, 0, 0]
     ls = longest_cover_array_li_smyth(border)
     assert list(ls.lcover) == [0, 1, 0]
@@ -122,8 +125,8 @@ def test_criterion_6_linearity_instrumentation():
         text = [rng.randrange(2) for _ in range(n)]
         for kind in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
             bb = BorderBuilder(kind)
-            sc = ShortestCoverBuilder()
-            lc = LongestCoverBuilder()
+            sc = ShortestCoverArray()
+            lc = LongestCoverArray()
             for t in text:
                 b = bb.push(t)
                 sc.push(b)

@@ -68,6 +68,16 @@ class TestBuilder:
             partial = [builder.push(t) for t in EXAMPLE_TEXT]
             assert partial == border_array(EXAMPLE_TEXT, kind)
 
+    def test_negative_tokens_rejected(self):
+        for kind in KINDS:
+            with pytest.raises(ValueError):
+                border_array([-1, -2], kind)
+        for kind in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
+            builder = BorderBuilder(kind)
+            builder.push(0)
+            with pytest.raises(ValueError):
+                builder.push(-1)
+
     def test_no_online_builder_for_order_iso(self):
         with pytest.raises(ValueError):
             BorderBuilder(ScerKind.ORDER_ISO)

@@ -158,6 +158,15 @@ class TestBadRequests:
         code, _, _ = run_cli(capsys, ["--arrays", "", example_file])
         assert code == 2
 
+    def test_input_with_border_file_exit_2(self, capsys, tmp_path):
+        border = tmp_path / "b.txt"
+        border.write_text("0\n1\n")
+        code, out, err = run_cli(capsys, [str(tmp_path / "no-such-file"),
+                                          "--border-file", str(border)])
+        assert code == 2
+        assert out == ""
+        assert "--border-file" in err
+
     def test_stream_order_iso_exit_2(self, capsys, example_file):
         code, _, err = run_cli(capsys, ["--scer", "op", "--stream", example_file])
         assert code == 2

@@ -19,8 +19,8 @@ from conftest import (
 )
 from quasicover.border import border_array
 from quasicover.covers import (
-    LongestCoverBuilder,
-    ShortestCoverBuilder,
+    LongestCoverArray,
+    ShortestCoverArray,
     all_cover_lengths,
     is_primitive,
     left_seed_lengths,
@@ -40,7 +40,7 @@ class TestShortestGolden:
         assert list(shortest_cover_array(TABLE2_BORDER).scover) == TABLE2_SCOVER
 
     def test_empty(self):
-        assert shortest_cover_array([]).scover == ()
+        assert shortest_cover_array([]).scover == []
 
     def test_rejects_malformed_border(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,9 @@ class TestAabTrace:
         def grab(i, builder):
             snapshots[i] = (list(builder.ls_children), list(builder.longest_ls_anc))
 
-        longest_cover_array(self.BORDER, after_increment=grab)
+        lca = LongestCoverArray(after_increment=grab)
+        for b in self.BORDER:
+            lca.push(b)
         children, anc = snapshots[3]
         assert children == [2, 1, 0, 0]
         assert anc == [0, 1, 2, 3]
@@ -110,6 +112,49 @@ class TestAabTrace:
         # after the ascending sweep only the root keeps a live child
         result = longest_cover_array(self.BORDER)
         assert list(result.ls_children) == [1, 0, 0, 0]
+
+
+class TestOneClassPerArray:
+    """The batch functions return the object that pushing by hand builds."""
+
+    def texts(self):
+        rng = random.Random(31)
+        yield from ((), (0,), EXAMPLE_TEXT)
+        for _ in range(40):
+            n = rng.randrange(1, 40)
+            yield tuple(rng.randrange(rng.randrange(1, 4)) for _ in range(n))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_equals_pushed_by_hand(self, kind):
+        for s in self.texts():
+            b = border_array(s, kind)
+            sca = ShortestCoverArray()
+            lca = LongestCoverArray(trace=[], after_increment=lambda i, arr: None)
+            for v in b:
+                assert sca.push(v) == sca.scover[-1]
+                assert lca.push(v) == lca.lcover[-1]
+            assert shortest_cover_array(b) == sca
+            assert longest_cover_array(b) == lca
+            if b:
+                sca.push(0)
+                lca.push(0)
+                assert shortest_cover_array(b) != sca
+                assert longest_cover_array(b) != lca
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_push_continues_li_smyth(self, kind):
+        for s in self.texts():
+            b = border_array(s, kind)
+            full = longest_cover_array(b)
+            for k in range(len(b) + 1):
+                lca = longest_cover_array_li_smyth(b[:k])
+                for v in b[k:]:
+                    lca.push(v)
+                assert lca.lcover == full.lcover
+                assert lca.ls_children == full.ls_children
+                assert lca.longest_ls_anc == full.longest_ls_anc
+                assert (lca.op_count, lca.while_successes) == (
+                    full.op_count, full.while_successes)
 
 
 class TestQueries:
@@ -231,7 +276,10 @@ class TestAlgorithmInvariants:
                     assert builder.reach[j - 1] == max(covered)
                 assert builder.scover[j - 1] == min(cov_set(prefix, kind))
 
-        shortest_cover_array(b, after_iteration=check)
+        sca = ShortestCoverArray()
+        for i, v in enumerate(b, start=1):
+            sca.push(v)
+            check(i, sca)
 
     def check_tree_invariants(self, s, kind):
         b = border_array(s, kind)
@@ -251,7 +299,10 @@ class TestAlgorithmInvariants:
                 candidates = [l for l in seeds if l in cov_set(s[:j], kind)] if j else []
                 assert builder.longest_ls_anc[j] == (max(candidates) if candidates else 0)
 
-        longest_cover_array(b, after_iteration=check)
+        lca = LongestCoverArray()
+        for i, v in enumerate(b, start=1):
+            lca.push(v)
+            check(i, lca)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reach_invariant_small(self, kind):
@@ -274,7 +325,7 @@ class TestLinearity:
         for alphabet in (2, 3):
             text = [rng.randrange(alphabet) for _ in range(3000)]
             for kind in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
-                builder = LongestCoverBuilder()
+                builder = LongestCoverArray()
                 builder.trace = []
                 for v in border_array(text, kind):
                     builder.push(v)
@@ -289,15 +340,16 @@ class TestLinearity:
             lca = longest_cover_array(b)
             # outer n iterations + telescoping inner-for range + <= n retirements
             assert lca.op_count <= 3 * len(text)
-            # observers and the descending variant count the same work
-            hooked = longest_cover_array(b, after_increment=lambda i, builder: None,
-                                         after_iteration=lambda i, builder: None)
+            # an observer and the descending variant count the same work
+            hooked = LongestCoverArray(after_increment=lambda i, builder: None)
+            for v in b:
+                hooked.push(v)
             for other in (hooked, longest_cover_array_li_smyth(b)):
                 assert (other.op_count, other.while_successes) == (
                     lca.op_count, lca.while_successes)
 
     def test_shortest_builder_constant_work_per_step(self):
-        builder = ShortestCoverBuilder()
+        builder = ShortestCoverArray()
         for v in TABLE1_BORDER:
             builder.push(v)
         assert builder.op_count == 2 * len(TABLE1_BORDER)
