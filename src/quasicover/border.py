@@ -1,14 +1,16 @@
 """Border arrays under the supported equivalence relations.
 
 A border array maps each prefix length i to the length of the longest
-proper border of T[:i] under the chosen relation. Identity and
-parameterized matching get online failure-function builders; any relation
-can use the quadratic generic builder, which only needs the equivalence
-predicate.
+proper border of T[:i] under the chosen relation. All three relations get
+one online failure-function builder, `BorderBuilder`, in amortized linear
+time (order-isomorphism pays an extra O(sigma) list insert for each new
+distinct value). The quadratic generic builder, which only needs the
+equivalence predicate, is kept as an independent cross-check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 from .scer import ScerKind, TokenSeq, equiv
@@ -32,22 +34,35 @@ def validate_border_array(values: Sequence[int]) -> None:
 
 
 class BorderBuilder:
-    """Online border-array builder for identity and parameterized matching.
+    """Online border-array builder for all three relations.
 
     Feed non-negative integer tokens one at a time with push(); `values`
     holds the border array of the tokens seen so far. `link_follows`
     counts failure-link descents (amortized, at most 2n over the whole run).
+    Descending the failure links is valid for every relation, because a
+    border of a border is a border under any substring consistent
+    equivalence relation. BorderBuilder(ScerKind.ORDER_ISO) returns an
+    _OrderIsoBorderBuilder, whose push compares nearest-neighbour codes.
     """
 
+    def __new__(cls, kind: ScerKind | None = None):
+        # Choosing the order-isomorphism push here, once, keeps the identity
+        # and param push free of a per-token test. Binding it on the instance
+        # instead would make every builder a reference cycle, which only a
+        # full garbage collection frees. kind defaults because copy and
+        # pickle call __new__ with the class alone.
+        if kind is ScerKind.ORDER_ISO:
+            cls = _OrderIsoBorderBuilder
+        return super().__new__(cls)
+
     def __init__(self, kind: ScerKind):
-        if kind not in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
-            raise ValueError(f"no online border builder for {kind.value}")
         self.kind = kind
         self.values: list[int] = []
         self.link_follows = 0
         # One code per position: param stores the prev distance, which window
         # offset b clips to 0 when it exceeds b; identity stores ~token, which
-        # is negative for every accepted token and so never clipped.
+        # is negative for every accepted token and so never clipped; op
+        # stores the token itself.
         self._codes: list[int] = []
         self._last: dict[int, int] = {}
 
@@ -83,13 +98,77 @@ class BorderBuilder:
         return self.values
 
 
+class _OrderIsoBorderBuilder(BorderBuilder):
+    """BorderBuilder for order-isomorphism.
+
+    Compares nearest-neighbour codes (Kim et al., "Order-preserving
+    matching", TCS 525, 2014), with an equality case for ties, which that
+    paper excludes: position j stores in lo[j] and hi[j] the last indices in
+    T[:j] of the largest value <= T[j] and of the smallest value >= T[j],
+    or -1 where there is none. Each new distinct value costs one insert
+    into a sorted list, O(sigma).
+    """
+
+    def __init__(self, kind: ScerKind):
+        super().__init__(kind)
+        self._lo: list[int] = []
+        self._hi: list[int] = []
+        self._distinct: list[int] = []  # sorted distinct tokens seen
+
+    def push(self, token: int) -> int:
+        tokens, lo, hi, values = self._codes, self._lo, self._hi, self.values
+        i = len(tokens)
+        last = self._last
+        j = last.get(token)
+        if j is None:
+            # Only a token not seen before is checked: a rejected one is
+            # never stored, so it comes here each time it is pushed.
+            if not isinstance(token, int) or token < 0:
+                raise ValueError(f"tokens must be non-negative integers, got {token!r}")
+            distinct = self._distinct
+            k = bisect_left(distinct, token)
+            lo.append(last[distinct[k - 1]] if k else -1)
+            hi.append(last[distinct[k]] if k < len(distinct) else -1)
+            distinct.insert(k, token)
+        else:
+            lo.append(j)
+            hi.append(j)
+        last[token] = i
+        tokens.append(token)
+        if i == 0:
+            values.append(0)
+            return 0
+        # T[:b] matches the window T[i-b:i]; it extends by T[i] when T[i]
+        # relates to the window images of b's neighbours as T[b] does to the
+        # neighbours. b = 0 always extends (lo[0] == hi[0] == -1), so the
+        # loop needs no b > 0 test.
+        b = values[i - 1]
+        follows = 0
+        while True:
+            w = i - b
+            lo_b = lo[b]
+            hi_b = hi[b]
+            if lo_b == hi_b:
+                if lo_b < 0 or tokens[w + lo_b] == token:
+                    break
+            elif (lo_b < 0 or tokens[w + lo_b] < token) and (hi_b < 0 or token < tokens[w + hi_b]):
+                break
+            b = values[b - 1]
+            follows += 1
+        b += 1
+        values.append(b)
+        self.link_follows += follows
+        return b
+
+
 def border_array_generic(text: Sequence[int], kind: ScerKind) -> list[int]:
     """Quadratic border-array builder valid for any of the relations.
 
     Candidates at position i descend one by one from values[i-1] + 1; the
     first b with T[:b] equivalent to T[i-b+1:i] wins. Decrementing by 1
     (rather than chasing failure links) is unconditionally correct for
-    every relation, at O(n^2) cost per equivalence check.
+    every relation, at O(n^2) cost per equivalence check. It shares no
+    code with BorderBuilder, which makes it an independent cross-check.
     """
     t = tuple(TokenSeq(text))  # validated once; slices below are plain tuples
     values: list[int] = []
@@ -104,13 +183,7 @@ def border_array_generic(text: Sequence[int], kind: ScerKind) -> list[int]:
 
 
 def border_array(text: Sequence[int], kind: ScerKind) -> list[int]:
-    """Border array of `text` under `kind`.
-
-    Identity and parameterized use the online failure-function builder;
-    order-isomorphism falls back to the generic quadratic builder.
-    """
-    if kind is ScerKind.ORDER_ISO:
-        return border_array_generic(text, kind)
+    """Border array of `text` under `kind`, from the online builder."""
     return BorderBuilder(kind).extend(text)
 
 

@@ -2,9 +2,8 @@
 
 Reads a byte or token text, picks an equivalence relation, and emits any
 subset of {border, scover, lcover, covers, lseeds} as TSV or JSON. With
---stream, one row per prefix is emitted (identity and parameterized only;
-the order-isomorphism border builder is not online), but only after the
-whole input has been read.
+--stream, one row per prefix is emitted for any of the three relations,
+but only after the whole input has been read.
 
 Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 """
@@ -153,10 +152,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     kind = ScerKind.parse(args.scer)
 
-    if args.stream and kind is ScerKind.ORDER_ISO:
-        print("error: --stream is not supported for order-isomorphism "
-              "(its border builder is not online)", file=sys.stderr)
-        return 2
     if args.stream and (args.oracle or args.border_file):
         print("error: --stream cannot be combined with --oracle or --border-file",
               file=sys.stderr)

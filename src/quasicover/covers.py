@@ -56,7 +56,9 @@ class LongestCoverArray:
     The cover tree has nodes 0..n with parent(i) = lcover[i-1] and root 0.
     ls_children[j] counts children of j that are left seeds of the current
     prefix; longest_ls_anc[j] is the lowest left-seed ancestor of j; both
-    are indexed 0..n. dead is set only by longest_cover_array_li_smyth.
+    are indexed 0..n. dead[j] (0..n) marks retired nodes; it is None unless
+    the array came from longest_cover_array_li_smyth, and push() keeps it
+    current when it is set.
     push's inner loop walks prefix lengths ascending, which keeps every
     node's children count from being decremented after it reaches zero.
     """
@@ -82,6 +84,9 @@ class LongestCoverArray:
             raise ValueError(f"invalid border value {b} at position {i}")
         children.append(0)
         anc.append(i)
+        dead = self.dead
+        if dead is not None:
+            dead.append(False)
 
         if children[b] == 0 and 0 < 2 * b < i:
             anc[b] = anc[lcover[b - 1]]
@@ -93,15 +98,22 @@ class LongestCoverArray:
         steps = 1
         retired = 0
         if i > 1:
-            trace = self.trace
+            # With dead kept, retired nodes are logged and marked after the
+            # loop, so the loop tests one list whether or not dead is kept.
+            log = self.trace if dead is None else []
             for j in range(i - 1 - prev, i - b):
                 steps += 1
                 while children[j] == 0:
-                    if trace is not None:
-                        trace.append(j)
+                    if log is not None:
+                        log.append(j)
                     j = lcover[j - 1]
                     children[j] -= 1
                     retired += 1
+            if dead is not None:
+                for j in log:
+                    dead[j] = True
+                if self.trace is not None:
+                    self.trace.extend(log)
         self.while_successes += retired
         self.op_count += steps + retired
         self._prev_border = b

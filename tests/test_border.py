@@ -1,5 +1,8 @@
 """Border-array builders: goldens, oracle equivalence, step property."""
 
+import copy
+import random
+
 import pytest
 
 from conftest import EXAMPLE_TEXT, KINDS, TABLE1_BORDER, TABLE2_BORDER, strings
@@ -54,6 +57,28 @@ class TestOracleEquivalence:
             assert border_array(s, kind) == expected
             assert border_array_generic(s, kind) == expected
 
+    def test_order_iso_ties_and_large_alphabets(self):
+        # Beyond the exhaustive universe: n <= 300 over 2..n symbols, drawn
+        # with repeats, and copies of a tied block under increasing maps,
+        # which give long order-isomorphic borders that identity lacks.
+        rng = random.Random(2026)
+        texts = []
+        for _ in range(150):
+            n = rng.randint(2, 300)
+            pool = rng.sample(range(4 * n), rng.randint(2, n))
+            texts.append([rng.choice(pool) for _ in range(n)])
+        for _ in range(50):
+            n = rng.randint(2, 300)
+            block = [rng.randrange(rng.randint(2, 12)) for _ in range(rng.randint(1, 12))]
+            s = []
+            while len(s) < n:
+                scale, shift = rng.randint(1, 3), rng.randrange(50)
+                s += [scale * v + shift for v in block]
+            texts.append(s[:n])
+        for s in texts:
+            assert border_array(s, ScerKind.ORDER_ISO) == border_array_generic(
+                s, ScerKind.ORDER_ISO), s
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_step_property(self, kind):
         for s in strings(7, 3):
@@ -63,7 +88,7 @@ class TestOracleEquivalence:
 
 class TestBuilder:
     def test_streaming_matches_batch(self):
-        for kind in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
+        for kind in KINDS:
             builder = BorderBuilder(kind)
             partial = [builder.push(t) for t in EXAMPLE_TEXT]
             assert partial == border_array(EXAMPLE_TEXT, kind)
@@ -72,20 +97,44 @@ class TestBuilder:
         for kind in KINDS:
             with pytest.raises(ValueError):
                 border_array([-1, -2], kind)
-        for kind in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
+        for kind in KINDS:
             builder = BorderBuilder(kind)
             builder.push(0)
             with pytest.raises(ValueError):
                 builder.push(-1)
 
-    def test_no_online_builder_for_order_iso(self):
+    def test_order_iso_rejects_non_integer_tokens(self):
         with pytest.raises(ValueError):
-            BorderBuilder(ScerKind.ORDER_ISO)
+            border_array([0.5, 1.5], ScerKind.ORDER_ISO)
+        builder = BorderBuilder(ScerKind.ORDER_ISO)
+        builder.push(3)
+        for bad in (2.5, -1, -1):
+            with pytest.raises(ValueError):
+                builder.push(bad)
+        assert builder.values == [0]
+        assert builder.push(2) == 1
 
-    @pytest.mark.parametrize("kind", [ScerKind.IDENTITY, ScerKind.PARAMETERIZED])
+    def test_order_iso_builder_matches_generic(self):
+        rng = random.Random(8)
+        texts = [EXAMPLE_TEXT, (0, 3, 2, 1, 2)]
+        texts += [tuple(rng.randrange(4) for _ in range(rng.randrange(1, 60))) for _ in range(50)]
+        for s in texts:
+            builder = BorderBuilder(ScerKind.ORDER_ISO)
+            pushed = [builder.push(t) for t in s]
+            assert pushed == builder.values == border_array_generic(s, ScerKind.ORDER_ISO), s
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copy_continues(self, kind):
+        builder = BorderBuilder(kind)
+        builder.extend(EXAMPLE_TEXT[:7])
+        twin = copy.deepcopy(builder)
+        assert type(twin) is type(builder)
+        builder.extend(EXAMPLE_TEXT[7:])
+        assert twin.extend(EXAMPLE_TEXT[7:]) == builder.values == border_array(EXAMPLE_TEXT, kind)
+        assert twin.link_follows == builder.link_follows
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_amortized_descents(self, kind):
-        import random
-
         rng = random.Random(12345)
         text = [rng.randrange(2) for _ in range(20000)]
         builder = BorderBuilder(kind)

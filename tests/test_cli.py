@@ -167,11 +167,6 @@ class TestBadRequests:
         assert out == ""
         assert "--border-file" in err
 
-    def test_stream_order_iso_exit_2(self, capsys, example_file):
-        code, _, err = run_cli(capsys, ["--scer", "op", "--stream", example_file])
-        assert code == 2
-        assert "stream" in err
-
 
 class TestStreaming:
     def stream_rows(self, capsys, argv):
@@ -179,7 +174,7 @@ class TestStreaming:
         assert code == 0
         return [json.loads(line) for line in out.splitlines()]
 
-    @pytest.mark.parametrize("scer", ["identity", "param"])
+    @pytest.mark.parametrize("scer", ["identity", "param", "op"])
     def test_stream_matches_batch_example(self, capsys, example_file, scer):
         argv = ["--scer", scer, "--arrays", "border,scover,lcover", example_file]
         code, out, _ = run_cli(capsys, argv + ["--format", "json"])
@@ -193,7 +188,7 @@ class TestStreaming:
 
     def test_stream_covers_and_lseeds_prefix_consistent(self, capsys, tmp_path):
         rng = random.Random(4)
-        for scer in ("identity", "param"):
+        for scer in ("identity", "param", "op"):
             for alphabet in ("ab", "abc"):
                 text = "".join(rng.choice(alphabet) for _ in range(60))
                 path = tmp_path / "t.txt"
@@ -209,6 +204,20 @@ class TestStreaming:
                     batch = json.loads(out)
                     assert rows[i - 1]["covers"] == batch["covers"], (scer, alphabet, i)
                     assert rows[i - 1]["lseeds"] == batch["lseeds"], (scer, alphabet, i)
+
+    def test_stream_order_iso_exit_0(self, capsys, example_file):
+        code, out, err = run_cli(capsys, ["--scer", "op", example_file])
+        assert code == 0
+        batch = parse_tsv(out)
+        code, out, err = run_cli(capsys, ["--scer", "op", "--stream", example_file])
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "i\tborder\tscover\tlcover"
+        assert len(lines) == len(EXAMPLE) + 1
+        for i, line in enumerate(lines[1:], start=1):
+            assert line.split("\t") == [str(i)] + [batch[name][i - 1]
+                                                   for name in ("border", "scover", "lcover")]
 
     def test_stream_tsv_row_shape(self, capsys, example_file):
         code, out, _ = run_cli(capsys, ["--arrays", "border,covers", example_file, "--stream"])

@@ -156,6 +156,26 @@ class TestOneClassPerArray:
                 assert (lca.op_count, lca.while_successes) == (
                     full.op_count, full.while_successes)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_push_keeps_dead_current(self, kind):
+        for s in self.texts():
+            b = border_array(s, kind)
+            full = longest_cover_array_li_smyth(b)
+            for k in range(len(b) + 1):
+                lca = longest_cover_array_li_smyth(b[:k])
+                for v in b[k:]:
+                    lca.push(v)
+                assert lca.dead == full.dead, (s, k)
+            # the retired-node trace is the same whether or not dead is kept
+            plain = LongestCoverArray(trace=[])
+            kept = longest_cover_array_li_smyth([])
+            kept.trace = []
+            for v in b:
+                plain.push(v)
+                kept.push(v)
+            assert kept.trace == plain.trace
+            assert kept.dead == full.dead
+
 
 class TestQueries:
     def test_all_cover_lengths_table1(self):
