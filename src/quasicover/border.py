@@ -36,9 +36,10 @@ def validate_border_array(values: Sequence[int]) -> None:
 class BorderBuilder:
     """Online border-array builder for all three relations.
 
-    Feed non-negative integer tokens one at a time with push(); `values`
-    holds the border array of the tokens seen so far. `link_follows`
-    counts failure-link descents (amortized, at most 2n over the whole run).
+    Feed non-negative integer tokens one at a time with push(), which
+    raises ValueError on anything else; `values` holds the border array of
+    the tokens seen so far. `link_follows` counts failure-link descents
+    (amortized, at most 2n over the whole run).
     Descending the failure links is valid for every relation, because a
     border of a border is a border under any substring consistent
     equivalence relation. BorderBuilder(ScerKind.ORDER_ISO) returns an
@@ -69,13 +70,25 @@ class BorderBuilder:
     def push(self, token: int) -> int:
         codes, values = self._codes, self.values
         i = len(codes)
-        if token < 0:
-            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
         if self.kind is ScerKind.IDENTITY:
-            c = ~token
+            # ~token is negative exactly when token is a non-negative int; a
+            # TypeError (not an int) is rejected like a negative token. The
+            # try costs nothing when nothing is raised.
+            try:
+                c = ~token
+            except TypeError:
+                c = 0
+            if c >= 0:
+                raise ValueError(f"tokens must be non-negative integers, got {token!r}")
         else:
             j = self._last.get(token)
-            c = 0 if j is None else i - j
+            if j is None:
+                # Only a token not seen before is checked, as in the op push.
+                if not isinstance(token, int) or token < 0:
+                    raise ValueError(f"tokens must be non-negative integers, got {token!r}")
+                c = 0
+            else:
+                c = i - j
             self._last[token] = i
         codes.append(c)
         if i == 0:

@@ -3,7 +3,9 @@
 Reads a byte or token text, picks an equivalence relation, and emits any
 subset of {border, scover, lcover, covers, lseeds} as TSV or JSON. With
 --stream, one row per prefix is emitted for any of the three relations,
-but only after the whole input has been read.
+as the input arrives: every row for the bytes read so far is written and
+flushed before the next read waits. A bad token ends the stream with exit
+code 2, after the rows for the tokens before it.
 
 Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 """
@@ -11,10 +13,12 @@ Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Sequence
+from itertools import chain
+from typing import BinaryIO, Iterator, Sequence
 
 from . import border as border_mod
 from . import covers as covers_mod
@@ -22,6 +26,7 @@ from . import oracle as oracle_mod
 from .scer import ScerKind, TokenSeq
 
 ARRAY_NAMES = ("border", "scover", "lcover", "covers", "lseeds")
+READ_SIZE = 1 << 16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,24 +48,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="compute everything with the brute-force reference implementations")
     p.add_argument("--stream", action="store_true",
-                   help="emit one row per prefix (the whole input is read first)")
+                   help="emit one row per prefix, as the input arrives")
     return p
 
 
-def _read_input(path: str, mode: str) -> TokenSeq:
+def _open_input(path: str) -> contextlib.AbstractContextManager[BinaryIO]:
+    """The binary input stream; leaving the block closes a file, not stdin."""
     if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        return contextlib.nullcontext(sys.stdin.buffer)
+    return open(path, "rb")
+
+
+def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
+    """Yield the input as chunks of tokens, each as soon as its bytes are read.
+
+    read1 returns whatever bytes are already there and blocks only when
+    there are none, so a chunk never waits for later input. In bytes mode a
+    chunk is the bytes object itself; only a chunk-final newline is held
+    back, because at EOF it is the dropped trailing newline. In tokens mode a
+    trailing partial token is carried into the next chunk; on a bad token the
+    tokens before it are yielded first, then ValueError is raised.
+    """
     if mode == "bytes":
-        if data.endswith(b"\n"):
-            data = data[:-1]
-        return TokenSeq.from_bytes(data)
-    try:
-        return TokenSeq(int(tok) for tok in data.split())
-    except ValueError as e:
-        raise ValueError(f"bad token input: {e}") from None
+        held = b""
+        while data := stream.read1(READ_SIZE):
+            data = held + data
+            if data.endswith(b"\n"):
+                held, data = b"\n", data[:-1]
+            else:
+                held = b""
+            if data:
+                yield data
+        return
+    carry = b""
+    while True:
+        data = stream.read1(READ_SIZE)
+        parts = (carry + data).split()
+        carry = parts.pop() if data and not data[-1:].isspace() else b""
+        tokens: list[int] = []
+        try:
+            for tok in parts:
+                tokens.append(int(tok))
+        except ValueError as e:
+            if tokens:
+                yield tokens
+            raise ValueError(f"bad token input: {e}") from None
+        if tokens:
+            yield tokens
+        if not data:
+            return
 
 
 def _compute_batch(text: TokenSeq, kind: ScerKind, arrays: list[str],
@@ -111,36 +147,42 @@ def _emit_batch(result: dict[str, list[int]], arrays: list[str], fmt: str,
         out.write("\t".join([name] + [str(v) for v in result[name]]) + "\n")
 
 
-def _stream(text: TokenSeq, kind: ScerKind, arrays: list[str], fmt: str, out) -> None:
+def _stream(chunks: Iterator[Sequence[int]], kind: ScerKind, arrays: list[str], fmt: str,
+            out) -> None:
     builder = border_mod.BorderBuilder(kind)
     sc = covers_mod.ShortestCoverArray()
     lc = covers_mod.LongestCoverArray()
     if fmt == "tsv":
         out.write("i\t" + "\t".join(arrays) + "\n")
-    for i, token in enumerate(text, start=1):
-        b = builder.push(token)
-        sc.push(b)
-        lc.push(b)
-        row: dict[str, object] = {"i": i}
-        if "border" in arrays:
-            row["border"] = b
-        if "scover" in arrays:
-            row["scover"] = sc.scover[-1]
-        if "lcover" in arrays:
-            row["lcover"] = lc.lcover[-1]
-        if "covers" in arrays:
-            row["covers"] = covers_mod.all_cover_lengths(lc, i)
-        if "lseeds" in arrays:
-            row["lseeds"] = covers_mod.left_seed_lengths(builder.values, lc, i)
-        if fmt == "json":
-            json.dump(row, out)
-            out.write("\n")
-        else:
-            cells = [str(row["i"])]
-            for name in arrays:
-                v = row[name]
-                cells.append(",".join(str(x) for x in v) if isinstance(v, list) else str(v))
-            out.write("\t".join(cells) + "\n")
+    i = 0
+    for chunk in chunks:
+        for token in chunk:
+            i += 1
+            b = builder.push(token)
+            sc.push(b)
+            lc.push(b)
+            row: dict[str, object] = {"i": i}
+            if "border" in arrays:
+                row["border"] = b
+            if "scover" in arrays:
+                row["scover"] = sc.scover[-1]
+            if "lcover" in arrays:
+                row["lcover"] = lc.lcover[-1]
+            if "covers" in arrays:
+                row["covers"] = covers_mod.all_cover_lengths(lc, i)
+            if "lseeds" in arrays:
+                row["lseeds"] = covers_mod.left_seed_lengths(builder.values, lc, i)
+            if fmt == "json":
+                json.dump(row, out)
+                out.write("\n")
+            else:
+                cells = [str(row["i"])]
+                for name in arrays:
+                    v = row[name]
+                    cells.append(",".join(str(x) for x in v) if isinstance(v, list) else str(v))
+                out.write("\t".join(cells) + "\n")
+        # Every row for the bytes read so far is out before the next read waits.
+        out.flush()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -174,21 +216,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 2
 
-    text = TokenSeq()
-    if border is None:
-        try:
-            text = _read_input(args.input, args.input_mode)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-
     try:
         if args.stream:
-            _stream(text, kind, arrays, args.format, sys.stdout)
+            with _open_input(args.input) as stream:
+                _stream(read_chunks(stream, args.input_mode), kind, arrays, args.format,
+                        sys.stdout)
         else:
+            text = TokenSeq()
+            if border is None:
+                with _open_input(args.input) as stream:
+                    text = TokenSeq(chain.from_iterable(read_chunks(stream, args.input_mode)))
             result = _compute_batch(text, kind, arrays, border, args.oracle)
             n = len(border) if border is not None else len(text)
             _emit_batch(result, arrays, args.format, n, kind.value, sys.stdout)
@@ -197,6 +234,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The reader closed stdout; point it at devnull so that the
         # interpreter's final flush of the buffered rest stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

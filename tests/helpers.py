@@ -1,4 +1,5 @@
-"""Checks shared between the fast lemma tests and the acceptance suite.
+"""Checks shared between the fast lemma tests and the acceptance suite,
+and a fake input stream for the CLI tests.
 
 Each check returns silently or raises AssertionError with the offending
 string; callers decide the universe to sweep.
@@ -100,3 +101,21 @@ def check_left_seeds_match_oracle(s, kind):
     lca = longest_cover_array(b)
     n = len(s)
     assert left_seed_lengths(b, lca, n) == brute_left_seeds(s, kind, n), (s, kind, "lseeds")
+
+
+class SplitStream:
+    """A binary input stream whose read1 returns the given pieces in turn.
+
+    `reads` counts the read1 calls, so a test can tell how far a reader
+    got before it yielded.
+    """
+
+    def __init__(self, pieces):
+        self._pieces = iter(pieces)
+        self.reads = 0
+
+    def read1(self, size=-1):
+        self.reads += 1
+        piece = next(self._pieces, b"")
+        assert size < 0 or len(piece) <= size
+        return piece

@@ -103,6 +103,19 @@ class TestBuilder:
             with pytest.raises(ValueError):
                 builder.push(-1)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [0.5, "a", None])
+    def test_non_integer_tokens_rejected(self, kind, bad):
+        with pytest.raises(ValueError):
+            border_array([0.5, 1.5, 0.5] if bad == 0.5 else [bad], kind)
+        builder = BorderBuilder(kind)
+        builder.push(1)
+        for _ in range(2):  # a rejected token is never stored, so it fails again
+            with pytest.raises(ValueError):
+                builder.push(bad)
+        assert builder.values == [0]
+        assert builder.push(1) == 1
+
     def test_order_iso_rejects_non_integer_tokens(self):
         with pytest.raises(ValueError):
             border_array([0.5, 1.5], ScerKind.ORDER_ISO)

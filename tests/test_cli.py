@@ -3,15 +3,19 @@
 import json
 import os
 import random
+import selectors
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
 import pytest
 
 import quasicover
 from conftest import TABLE1_BORDER, TABLE1_LCOVER, TABLE1_SCOVER
-from quasicover.cli import main
+from helpers import SplitStream
+from quasicover.cli import main, read_chunks
 
 EXAMPLE = "abaababaabaababa"
 
@@ -27,6 +31,29 @@ def example_file(tmp_path):
     path = tmp_path / "text.txt"
     path.write_text(EXAMPLE)
     return str(path)
+
+
+def cli_env():
+    """Environment for a CLI child, with stdout block-buffered as in normal use."""
+    src = str(Path(quasicover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def read_lines(pipe, count, timeout):
+    """The next `count` lines of `pipe`; fails if they take over `timeout` s."""
+    deadline = time.monotonic() + timeout
+    buf = b""
+    with selectors.DefaultSelector() as sel:
+        sel.register(pipe, selectors.EVENT_READ)
+        while buf.count(b"\n") < count:
+            left = deadline - time.monotonic()
+            assert left > 0 and sel.select(left), f"timed out after {buf!r}"
+            data = os.read(pipe.fileno(), 4096)
+            assert data, f"end of output after {buf!r}"
+            buf += data
+    return buf.decode().splitlines()
 
 
 def parse_tsv(out):
@@ -230,14 +257,93 @@ class TestStreaming:
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         path = tmp_path / "big.txt"
         path.write_bytes(bytes(random.Random(5).choice(b"ab") for _ in range(100_000)))
-        src = str(Path(quasicover.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
         with path.open("rb") as stdin, (tmp_path / "err.txt").open("wb") as err:
             proc = subprocess.Popen([sys.executable, "-m", "quasicover.cli", "--stream", "-"],
-                                    stdin=stdin, stdout=subprocess.PIPE, stderr=err, env=env)
+                                    stdin=stdin, stdout=subprocess.PIPE, stderr=err,
+                                    env=cli_env())
             assert proc.stdout.readline() == b"i\tborder\tscover\tlcover\n"
             assert proc.stdout.readline() == b"1\t0\t1\t0\n"
             proc.stdout.close()
             code = proc.wait(timeout=60)
         assert code == 1
         assert (tmp_path / "err.txt").read_bytes() == b""
+
+
+class TestOnlineStream:
+    def test_rows_written_while_stdin_is_open(self):
+        proc = subprocess.Popen([sys.executable, "-m", "quasicover.cli", "--stream"],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=cli_env())
+        try:
+            proc.stdin.write(b"abab")
+            proc.stdin.flush()
+            assert read_lines(proc.stdout, 5, timeout=5) == [
+                "i\tborder\tscover\tlcover",
+                "1\t0\t1\t0",
+                "2\t0\t2\t0",
+                "3\t1\t3\t0",
+                "4\t2\t2\t2",
+            ]
+            out, err = proc.communicate(b"ab", timeout=5)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert out.decode().splitlines() == ["5\t3\t3\t3", "6\t4\t2\t4"]
+        assert err == b""
+        assert proc.returncode == 0
+
+    def test_bad_token_ends_stream_after_earlier_rows(self, capsys, tmp_path):
+        path = tmp_path / "tokens.txt"
+        path.write_text("1 2 x 3\n")
+        code, out, err = run_cli(capsys, ["--stream", "--input-mode", "tokens", str(path)])
+        assert code == 2
+        assert out.splitlines() == ["i\tborder\tscover\tlcover", "1\t0\t1\t0", "2\t0\t2\t0"]
+        assert err.startswith("error: bad token input")
+
+    def test_read_error_exits_1(self, capsys, monkeypatch):
+        class FailingStream:
+            def read1(self, size):
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=FailingStream()))
+        for argv in (["--stream"], []):
+            code, _, err = run_cli(capsys, argv)
+            assert code == 1
+            assert err == "error: [Errno 5] Input/output error\n"
+
+
+class TestReadChunks:
+    def chunks(self, pieces, mode):
+        return [list(chunk) for chunk in read_chunks(SplitStream(pieces), mode)]
+
+    def test_token_split_across_chunks(self):
+        assert self.chunks([b"1", b"2 3"], "tokens") == [[12], [3]]
+
+    def test_token_chunk_boundaries(self):
+        assert self.chunks([b"1 ", b"2\n", b" 3\t4"], "tokens") == [[1], [2], [3], [4]]
+        assert self.chunks([b"", b"  "], "tokens") == []
+        assert self.chunks([b"7"], "tokens") == [[7]]
+
+    @pytest.mark.parametrize("pieces", [[b"1 2 x 3"], [b"1 2 x", b" 3"], [b"1 2 ", b"x"]])
+    def test_bad_token_after_good_ones(self, pieces):
+        got = []
+        with pytest.raises(ValueError, match="bad token input"):
+            for chunk in read_chunks(SplitStream(pieces), "tokens"):
+                got += chunk
+        assert got == [1, 2]
+
+    def test_chunk_final_newline_before_more_bytes_is_a_token(self):
+        assert self.chunks([b"ab\n", b"c"], "bytes") == [list(b"ab"), list(b"\nc")]
+        assert self.chunks([b"\n", b"\n"], "bytes") == [[10]]
+
+    def test_chunk_final_newline_at_eof_is_dropped(self):
+        assert self.chunks([b"ab", b"a\n"], "bytes") == [list(b"ab"), list(b"a")]
+        assert self.chunks([b"\n"], "bytes") == []
+
+    @pytest.mark.parametrize("mode, pieces", [("bytes", [b"ab", b"cd"]),
+                                              ("tokens", [b"1 2 ", b"3"])])
+    def test_each_chunk_is_yielded_before_the_next_read(self, mode, pieces):
+        stream = SplitStream(pieces)
+        chunks = read_chunks(stream, mode)
+        next(chunks)
+        assert stream.reads == 1
