@@ -70,25 +70,18 @@ class BorderBuilder:
     def push(self, token: int) -> int:
         codes, values = self._codes, self.values
         i = len(codes)
-        if self.kind is ScerKind.IDENTITY:
-            # ~token is negative exactly when token is a non-negative int; a
-            # TypeError (not an int) is rejected like a negative token. The
-            # try costs nothing when nothing is raised.
-            try:
-                c = ~token
-            except TypeError:
-                c = 0
-            if c >= 0:
-                raise ValueError(f"tokens must be non-negative integers, got {token!r}")
-        else:
+        # ~token is negative exactly when token is a non-negative int; a
+        # TypeError (not an int) is rejected like a negative token. The try
+        # costs nothing when nothing is raised. The op push checks the same.
+        try:
+            c = ~token
+        except TypeError:
+            c = 0
+        if c >= 0:
+            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
+        if self.kind is ScerKind.PARAMETERIZED:
             j = self._last.get(token)
-            if j is None:
-                # Only a token not seen before is checked, as in the op push.
-                if not isinstance(token, int) or token < 0:
-                    raise ValueError(f"tokens must be non-negative integers, got {token!r}")
-                c = 0
-            else:
-                c = i - j
+            c = 0 if j is None else i - j
             self._last[token] = i
         codes.append(c)
         if i == 0:
@@ -129,15 +122,17 @@ class _OrderIsoBorderBuilder(BorderBuilder):
         self._distinct: list[int] = []  # sorted distinct tokens seen
 
     def push(self, token: int) -> int:
+        try:
+            c = ~token
+        except TypeError:
+            c = 0
+        if c >= 0:
+            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
         tokens, lo, hi, values = self._codes, self._lo, self._hi, self.values
         i = len(tokens)
         last = self._last
         j = last.get(token)
         if j is None:
-            # Only a token not seen before is checked: a rejected one is
-            # never stored, so it comes here each time it is pushed.
-            if not isinstance(token, int) or token < 0:
-                raise ValueError(f"tokens must be non-negative integers, got {token!r}")
             distinct = self._distinct
             k = bisect_left(distinct, token)
             lo.append(last[distinct[k - 1]] if k else -1)

@@ -14,16 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-from itertools import chain
 from typing import BinaryIO, Iterator, Sequence
 
 from . import border as border_mod
 from . import covers as covers_mod
-from . import oracle as oracle_mod
-from .scer import ScerKind, TokenSeq
+from .scer import ScerKind
 
 ARRAY_NAMES = ("border", "scover", "lcover", "covers", "lseeds")
 READ_SIZE = 1 << 16
@@ -99,26 +96,32 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
             return
 
 
-def _compute_batch(text: TokenSeq, kind: ScerKind, arrays: list[str],
-                   border: list[int] | None, use_oracle: bool) -> dict[str, list[int]]:
-    n = len(border) if border is not None else len(text)
-    if use_oracle:
-        out: dict[str, list[int]] = {}
-        if "border" in arrays:
-            out["border"] = oracle_mod.brute_border_array(text, kind)
-        if "scover" in arrays:
-            out["scover"] = oracle_mod.brute_scover(text, kind)
-        if "lcover" in arrays:
-            out["lcover"] = oracle_mod.brute_lcover(text, kind)
-        if "covers" in arrays:
-            out["covers"] = sorted(oracle_mod.brute_cover_set(text, kind)) if n else []
-        if "lseeds" in arrays:
-            out["lseeds"] = oracle_mod.brute_left_seeds(text, kind, n) if n else []
-        return out
+def _compute_oracle(chunks: Iterator[Sequence[int]], kind: ScerKind,
+                    arrays: list[str]) -> tuple[int, dict[str, list[int]]]:
+    """n and the requested arrays, from the brute-force reference implementations."""
+    from . import oracle as oracle_mod
+    from .scer import TokenSeq
 
-    if border is None:
-        border = border_mod.border_array(text, kind)
-    out = {}
+    text = TokenSeq(t for chunk in chunks for t in chunk)
+    n = len(text)
+    out: dict[str, list[int]] = {}
+    if "border" in arrays:
+        out["border"] = oracle_mod.brute_border_array(text, kind)
+    if "scover" in arrays:
+        out["scover"] = oracle_mod.brute_scover(text, kind)
+    if "lcover" in arrays:
+        out["lcover"] = oracle_mod.brute_lcover(text, kind)
+    if "covers" in arrays:
+        out["covers"] = sorted(oracle_mod.brute_cover_set(text, kind)) if n else []
+    if "lseeds" in arrays:
+        out["lseeds"] = oracle_mod.brute_left_seeds(text, kind, n) if n else []
+    return n, out
+
+
+def _compute_batch(border: list[int], arrays: list[str]) -> dict[str, list[int]]:
+    """The requested arrays from a border array."""
+    n = len(border)
+    out: dict[str, list[int]] = {}
     if "border" in arrays:
         out["border"] = border
     if "scover" in arrays:
@@ -137,6 +140,8 @@ def _compute_batch(text: TokenSeq, kind: ScerKind, arrays: list[str],
 def _emit_batch(result: dict[str, list[int]], arrays: list[str], fmt: str,
                 n: int, scer: str, out) -> None:
     if fmt == "json":
+        import json
+
         payload = {"n": n, "scer": scer}
         payload.update({name: result[name] for name in arrays})
         json.dump(payload, out)
@@ -152,7 +157,9 @@ def _stream(chunks: Iterator[Sequence[int]], kind: ScerKind, arrays: list[str], 
     builder = border_mod.BorderBuilder(kind)
     sc = covers_mod.ShortestCoverArray()
     lc = covers_mod.LongestCoverArray()
-    if fmt == "tsv":
+    if fmt == "json":
+        import json
+    else:
         out.write("i\t" + "\t".join(arrays) + "\n")
     i = 0
     for chunk in chunks:
@@ -222,12 +229,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _stream(read_chunks(stream, args.input_mode), kind, arrays, args.format,
                         sys.stdout)
         else:
-            text = TokenSeq()
             if border is None:
                 with _open_input(args.input) as stream:
-                    text = TokenSeq(chain.from_iterable(read_chunks(stream, args.input_mode)))
-            result = _compute_batch(text, kind, arrays, border, args.oracle)
-            n = len(border) if border is not None else len(text)
+                    chunks = read_chunks(stream, args.input_mode)
+                    if args.oracle:
+                        n, result = _compute_oracle(chunks, kind, arrays)
+                    else:
+                        # the builder validates each token once, as it pushes it
+                        builder = border_mod.BorderBuilder(kind)
+                        for chunk in chunks:
+                            builder.extend(chunk)
+                        border = builder.values
+            if not args.oracle:
+                n, result = len(border), _compute_batch(border, arrays)
             _emit_batch(result, arrays, args.format, n, kind.value, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:

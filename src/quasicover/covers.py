@@ -55,10 +55,9 @@ class LongestCoverArray:
     lcover[i-1] is the longest proper cover length of T[:i], 0 if none.
     The cover tree has nodes 0..n with parent(i) = lcover[i-1] and root 0.
     ls_children[j] counts children of j that are left seeds of the current
-    prefix; longest_ls_anc[j] is the lowest left-seed ancestor of j; both
-    are indexed 0..n. dead[j] (0..n) marks retired nodes; it is None unless
-    the array came from longest_cover_array_li_smyth, and push() keeps it
-    current when it is set.
+    prefix; longest_ls_anc[j] is the lowest left-seed ancestor of j;
+    dead[j] marks node j retired, that is, no longer a left seed. All three
+    are indexed 0..n, and while_successes == sum(dead).
     push's inner loop walks prefix lengths ascending, which keeps every
     node's children count from being decremented after it reaches zero.
     """
@@ -66,11 +65,9 @@ class LongestCoverArray:
     lcover: list[int] = field(default_factory=list)
     ls_children: list[int] = field(default_factory=lambda: [0])
     longest_ls_anc: list[int] = field(default_factory=lambda: [0])
-    dead: list[bool] | None = None
+    dead: list[bool] = field(default_factory=lambda: [False])
     while_successes: int = 0
     op_count: int = 0
-    # set to [] to record retired nodes
-    trace: list[int] | None = field(default=None, compare=False)
     # called as (i, self) right after the children-count increment
     after_increment: Callable[[int, LongestCoverArray], None] | None = field(
         default=None, compare=False)
@@ -78,15 +75,15 @@ class LongestCoverArray:
 
     def push(self, b: int) -> int:
         lcover, children, anc = self.lcover, self.ls_children, self.longest_ls_anc
+        # a fourth name on the line above would build a tuple: about 4% slower
+        dead = self.dead
         i = len(lcover) + 1
         prev = self._prev_border
         if not (0 <= b < i) or b > prev + 1:
             raise ValueError(f"invalid border value {b} at position {i}")
         children.append(0)
         anc.append(i)
-        dead = self.dead
-        if dead is not None:
-            dead.append(False)
+        dead.append(False)
 
         if children[b] == 0 and 0 < 2 * b < i:
             anc[b] = anc[lcover[b - 1]]
@@ -98,22 +95,13 @@ class LongestCoverArray:
         steps = 1
         retired = 0
         if i > 1:
-            # With dead kept, retired nodes are logged and marked after the
-            # loop, so the loop tests one list whether or not dead is kept.
-            log = self.trace if dead is None else []
+            steps += prev + 1 - b  # the length of the range below
             for j in range(i - 1 - prev, i - b):
-                steps += 1
                 while children[j] == 0:
-                    if log is not None:
-                        log.append(j)
+                    dead[j] = True
                     j = lcover[j - 1]
                     children[j] -= 1
                     retired += 1
-            if dead is not None:
-                for j in log:
-                    dead[j] = True
-                if self.trace is not None:
-                    self.trace.extend(log)
         self.while_successes += retired
         self.op_count += steps + retired
         self._prev_border = b
@@ -136,71 +124,53 @@ def longest_cover_array(border: Sequence[int]) -> LongestCoverArray:
     return lca
 
 
-@dataclass
-class _LiSmythState:
-    lcover: list[int]
-    ls_children: list[int]
-    longest_ls_anc: list[int]
-    dead: list[bool]
-
-
 def longest_cover_array_li_smyth(
     border: Sequence[int],
-    after_increment: Callable[[int, "_LiSmythState"], None] | None = None,
+    after_increment: Callable[[int, LongestCoverArray], None] | None = None,
 ) -> LongestCoverArray:
-    """Longest cover array via the descending inner loop with a dead array.
+    """Longest cover array via Li and Smyth's descending inner loop.
 
-    Behaves identically to longest_cover_array on the output side but
-    processes the vacated prefix-length range top-down, which requires
-    marking already-retired nodes as dead so they are not decremented
-    twice. The internal parent of the root is -1 and never exported.
-    while_successes counts the nodes marked dead and op_count counts outer
-    steps, inner-loop steps and retirements, as in longest_cover_array.
-    The result's push() continues the text with the ascending loop.
+    An independent reference loop for longest_cover_array on the same
+    state: it grows a LongestCoverArray by one node per prefix, and the hook
+    gets that object, as push's does. The vacated prefix-length range is
+    processed top-down, so a retired node can be reached again; dead[j]
+    keeps it from being decremented twice. The result equals
+    longest_cover_array's, dead and counters included, and its push()
+    continues the text with the ascending loop.
     """
     from .border import validate_border_array
 
     validate_border_array(border)
-    n = len(border)
-    st = _LiSmythState(
-        lcover=[-1] + [0] * n,
-        ls_children=[0] * (n + 1),
-        longest_ls_anc=list(range(n + 1)),
-        dead=[False] * (n + 1),
-    )
-
-    def set_dead(j: int) -> None:
-        while j >= 0 and st.ls_children[j] == 0 and not st.dead[j]:
-            st.dead[j] = True
-            st.ls_children[st.lcover[j]] -= 1
-            j = st.lcover[j]
-
+    lca = LongestCoverArray()
+    lcover, children, anc, dead = lca.lcover, lca.ls_children, lca.longest_ls_anc, lca.dead
     steps = 0
-    for i in range(1, n + 1):
-        b = border[i - 1]
-        if st.dead[b]:
-            st.longest_ls_anc[b] = st.longest_ls_anc[st.lcover[b]]
-        st.lcover[i] = st.longest_ls_anc[b]
-        st.ls_children[st.lcover[i]] += 1
+    retired = 0
+    prev = 0
+    for i, b in enumerate(border, start=1):
+        children.append(0)
+        anc.append(i)
+        dead.append(False)
+        if dead[b]:
+            anc[b] = anc[lcover[b - 1]]
+        lc = anc[b]
+        lcover.append(lc)
+        children[lc] += 1
         if after_increment is not None:
-            after_increment(i, st)
+            after_increment(i, lca)
         steps += 1
         if i > 1:
-            c1 = i - b
-            c2 = (i - 1) - border[i - 2]
-            steps += c1 - c2
-            for j in range(c1 - 1, c2 - 1, -1):
-                set_dead(j)
-    retired = sum(st.dead)
-    return LongestCoverArray(
-        lcover=st.lcover[1:],
-        ls_children=st.ls_children,
-        longest_ls_anc=st.longest_ls_anc,
-        dead=st.dead,
-        while_successes=retired,
-        op_count=steps + retired,
-        _prev_border=border[-1] if n else 0,
-    )
+            steps += (i - b) - (i - 1 - prev)
+            for j in range(i - b - 1, i - 2 - prev, -1):
+                while children[j] == 0 and not dead[j]:
+                    dead[j] = True
+                    j = lcover[j - 1]
+                    children[j] -= 1
+                    retired += 1
+        prev = b
+    lca.while_successes = retired
+    lca.op_count = steps + retired
+    lca._prev_border = prev
+    return lca
 
 
 def all_cover_lengths(lca: LongestCoverArray, i: int) -> list[int]:

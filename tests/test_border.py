@@ -104,10 +104,13 @@ class TestBuilder:
                 builder.push(-1)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("bad", [0.5, "a", None])
+    @pytest.mark.parametrize("bad", [0.5, "a", None, 1.0])
     def test_non_integer_tokens_rejected(self, kind, bad):
-        with pytest.raises(ValueError):
-            border_array([0.5, 1.5, 0.5] if bad == 0.5 else [bad], kind)
+        # 1.0 equals a token seen before, which each push must still reject
+        texts = {0.5: [[0.5, 1.5, 0.5]], 1.0: [[1, 1.0], [1, 2, 1.0]]}.get(bad, [[bad]])
+        for text in texts:
+            with pytest.raises(ValueError):
+                border_array(text, kind)
         builder = BorderBuilder(kind)
         builder.push(1)
         for _ in range(2):  # a rejected token is never stored, so it fails again

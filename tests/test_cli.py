@@ -115,6 +115,16 @@ class TestOracleFlag:
         assert fast == brute
 
 
+class TestStartup:
+    def test_import_leaves_out_oracle_and_json(self):
+        # --oracle and --format json import them when they are asked for
+        code = ("import sys, quasicover.cli; "
+                "print(sorted({'json', 'quasicover.oracle'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
+
+
 class TestInputModes:
     def test_token_mode(self, capsys, tmp_path):
         path = tmp_path / "tokens.txt"
@@ -131,6 +141,17 @@ class TestInputModes:
         code, _, err = run_cli(capsys, ["--input-mode", "tokens", str(path)])
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    @pytest.mark.parametrize("scer", ["identity", "param", "op"])
+    def test_negative_token_exit_2(self, capsys, tmp_path, scer, oracle):
+        path = tmp_path / "tokens.txt"
+        path.write_text("1 -2 3\n")
+        argv = ["--scer", scer, "--input-mode", "tokens", str(path)] + oracle
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: tokens must be non-negative integers, got -2\n"
 
     def test_trailing_newline_stripped_in_byte_mode(self, capsys, tmp_path):
         path = tmp_path / "text.txt"

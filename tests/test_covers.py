@@ -95,8 +95,8 @@ class TestAabTrace:
     def test_li_smyth_state_after_increment_at_3(self):
         snapshots = {}
 
-        def grab(i, st):
-            snapshots[i] = (list(st.ls_children), list(st.longest_ls_anc), list(st.dead))
+        def grab(i, lca):
+            snapshots[i] = (list(lca.ls_children), list(lca.longest_ls_anc), list(lca.dead))
 
         longest_cover_array_li_smyth(self.BORDER, after_increment=grab)
         children, anc, dead = snapshots[3]
@@ -129,12 +129,13 @@ class TestOneClassPerArray:
         for s in self.texts():
             b = border_array(s, kind)
             sca = ShortestCoverArray()
-            lca = LongestCoverArray(trace=[], after_increment=lambda i, arr: None)
+            lca = LongestCoverArray(after_increment=lambda i, arr: None)
             for v in b:
                 assert sca.push(v) == sca.scover[-1]
                 assert lca.push(v) == lca.lcover[-1]
             assert shortest_cover_array(b) == sca
             assert longest_cover_array(b) == lca
+            assert lca.while_successes == sum(lca.dead)
             if b:
                 sca.push(0)
                 lca.push(0)
@@ -166,15 +167,13 @@ class TestOneClassPerArray:
                 for v in b[k:]:
                     lca.push(v)
                 assert lca.dead == full.dead, (s, k)
-            # the retired-node trace is the same whether or not dead is kept
-            plain = LongestCoverArray(trace=[])
-            kept = longest_cover_array_li_smyth([])
-            kept.trace = []
+                assert lca.while_successes == sum(lca.dead), (s, k)
+            # the ascending loop marks the nodes the descending one does
+            plain = LongestCoverArray()
             for v in b:
                 plain.push(v)
-                kept.push(v)
-            assert kept.trace == plain.trace
-            assert kept.dead == full.dead
+            assert plain == full
+            assert plain.while_successes == sum(plain.dead)
 
 
 class TestQueries:
@@ -346,10 +345,10 @@ class TestLinearity:
             text = [rng.randrange(alphabet) for _ in range(3000)]
             for kind in (ScerKind.IDENTITY, ScerKind.PARAMETERIZED):
                 builder = LongestCoverArray()
-                builder.trace = []
                 for v in border_array(text, kind):
                     builder.push(v)
-                assert len(builder.trace) == len(set(builder.trace))
+                # a node retired twice would count twice but mark dead once
+                assert builder.while_successes == sum(builder.dead)
                 assert builder.while_successes <= len(text)
 
     def test_inner_loop_work_bounded(self):
