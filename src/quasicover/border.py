@@ -11,7 +11,7 @@ equivalence predicate, is kept as an independent cross-check.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scer import ScerKind, TokenSeq, equiv
 
@@ -36,19 +36,21 @@ def validate_border_array(values: Sequence[int]) -> None:
 class BorderBuilder:
     """Online border-array builder for all three relations.
 
-    Feed non-negative integer tokens one at a time with push(), which
-    raises ValueError on anything else; `values` holds the border array of
-    the tokens seen so far. `link_follows` counts failure-link descents
-    (amortized, at most 2n over the whole run).
+    extend(tokens) is the algorithm: it takes a chunk of non-negative
+    integer tokens, raises ValueError on anything else, and returns
+    `values`, the border array of the tokens seen so far. push(token) is a
+    one-token extend that returns the new border value. `link_follows`
+    counts failure-link descents (amortized, at most 2n over the whole
+    run); it is published once per extend.
     Descending the failure links is valid for every relation, because a
     border of a border is a border under any substring consistent
     equivalence relation. BorderBuilder(ScerKind.ORDER_ISO) returns an
-    _OrderIsoBorderBuilder, whose push compares nearest-neighbour codes.
+    _OrderIsoBorderBuilder, whose extend compares nearest-neighbour codes.
     """
 
     def __new__(cls, kind: ScerKind | None = None):
-        # Choosing the order-isomorphism push here, once, keeps the identity
-        # and param push free of a per-token test. Binding it on the instance
+        # Choosing the order-isomorphism extend here, once, keeps the
+        # identity and param loop free of its test. Binding it on the instance
         # instead would make every builder a reference cycle, which only a
         # full garbage collection frees. kind defaults because copy and
         # pickle call __new__ with the class alone.
@@ -68,40 +70,45 @@ class BorderBuilder:
         self._last: dict[int, int] = {}
 
     def push(self, token: int) -> int:
-        codes, values = self._codes, self.values
-        i = len(codes)
-        # ~token is negative exactly when token is a non-negative int; a
-        # TypeError (not an int) is rejected like a negative token. The try
-        # costs nothing when nothing is raised. The op push checks the same.
-        try:
-            c = ~token
-        except TypeError:
-            c = 0
-        if c >= 0:
-            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
-        if self.kind is ScerKind.PARAMETERIZED:
-            j = self._last.get(token)
-            c = 0 if j is None else i - j
-            self._last[token] = i
-        codes.append(c)
-        if i == 0:
-            values.append(0)
-            return 0
-        # codes[b] needs no clipping: every prev distance is <= its index
-        b = values[i - 1]
-        follows = 0
-        while b > 0 and (c if c <= b else 0) != codes[b]:
-            b = values[b - 1]
-            follows += 1
-        b = b + 1 if (c if c <= b else 0) == codes[b] else 0
-        values.append(b)
-        self.link_follows += follows
-        return b
+        return self.extend((token,))[-1]
 
-    def extend(self, tokens: Sequence[int]) -> list[int]:
-        for t in tokens:
-            self.push(t)
-        return self.values
+    def extend(self, tokens: Iterable[int]) -> list[int]:
+        codes, values, last = self._codes, self.values, self._last
+        param = self.kind is ScerKind.PARAMETERIZED
+        # every element of bytes or bytearray is an int in 0..255
+        check = not isinstance(tokens, (bytes, bytearray))
+        # -1 before the first position: codes[-1] is then the code just
+        # appended, which matches itself, so the first value comes out 0
+        b = values[-1] if values else -1
+        follows = 0
+        try:
+            for i, token in enumerate(tokens, len(codes)):
+                if check:
+                    # ~token is negative exactly when token is a non-negative
+                    # int; a TypeError (not an int) is rejected like a
+                    # negative token. The op extend checks the same.
+                    try:
+                        c = ~token
+                    except TypeError:
+                        c = 0
+                    if c >= 0:
+                        raise ValueError(f"tokens must be non-negative integers, got {token!r}")
+                elif not param:
+                    c = ~token
+                if param:
+                    j = last.get(token)
+                    c = 0 if j is None else i - j
+                    last[token] = i
+                codes.append(c)
+                # codes[b] needs no clipping: every prev distance is <= its index
+                while b > 0 and (c if c <= b else 0) != codes[b]:
+                    b = values[b - 1]
+                    follows += 1
+                b = b + 1 if (c if c <= b else 0) == codes[b] else 0
+                values.append(b)
+        finally:
+            self.link_follows += follows
+        return values
 
 
 class _OrderIsoBorderBuilder(BorderBuilder):
@@ -121,52 +128,55 @@ class _OrderIsoBorderBuilder(BorderBuilder):
         self._hi: list[int] = []
         self._distinct: list[int] = []  # sorted distinct tokens seen
 
-    def push(self, token: int) -> int:
-        try:
-            c = ~token
-        except TypeError:
-            c = 0
-        if c >= 0:
-            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
-        tokens, lo, hi, values = self._codes, self._lo, self._hi, self.values
-        i = len(tokens)
-        last = self._last
-        j = last.get(token)
-        if j is None:
-            distinct = self._distinct
-            k = bisect_left(distinct, token)
-            lo.append(last[distinct[k - 1]] if k else -1)
-            hi.append(last[distinct[k]] if k < len(distinct) else -1)
-            distinct.insert(k, token)
-        else:
-            lo.append(j)
-            hi.append(j)
-        last[token] = i
-        tokens.append(token)
-        if i == 0:
-            values.append(0)
-            return 0
-        # T[:b] matches the window T[i-b:i]; it extends by T[i] when T[i]
-        # relates to the window images of b's neighbours as T[b] does to the
-        # neighbours. b = 0 always extends (lo[0] == hi[0] == -1), so the
-        # loop needs no b > 0 test.
-        b = values[i - 1]
+    def extend(self, tokens: Iterable[int]) -> list[int]:
+        codes, lo, hi, values = self._codes, self._lo, self._hi, self.values
+        last, distinct = self._last, self._distinct
+        check = not isinstance(tokens, (bytes, bytearray))
+        # -1 before the first position: lo[-1] == hi[-1] == -1 then, so the
+        # first value comes out 0
+        b = values[-1] if values else -1
         follows = 0
-        while True:
-            w = i - b
-            lo_b = lo[b]
-            hi_b = hi[b]
-            if lo_b == hi_b:
-                if lo_b < 0 or tokens[w + lo_b] == token:
-                    break
-            elif (lo_b < 0 or tokens[w + lo_b] < token) and (hi_b < 0 or token < tokens[w + hi_b]):
-                break
-            b = values[b - 1]
-            follows += 1
-        b += 1
-        values.append(b)
-        self.link_follows += follows
-        return b
+        try:
+            for i, token in enumerate(tokens, len(codes)):
+                if check:
+                    try:
+                        c = ~token
+                    except TypeError:
+                        c = 0
+                    if c >= 0:
+                        raise ValueError(f"tokens must be non-negative integers, got {token!r}")
+                j = last.get(token)
+                if j is None:
+                    k = bisect_left(distinct, token)
+                    lo.append(last[distinct[k - 1]] if k else -1)
+                    hi.append(last[distinct[k]] if k < len(distinct) else -1)
+                    distinct.insert(k, token)
+                else:
+                    lo.append(j)
+                    hi.append(j)
+                last[token] = i
+                codes.append(token)
+                # T[:b] matches the window T[i-b:i]; it extends by T[i] when
+                # T[i] relates to the window images of b's neighbours as T[b]
+                # does to the neighbours. b = 0 always extends (lo[0] == hi[0]
+                # == -1), so the loop needs no b > 0 test.
+                while True:
+                    w = i - b
+                    lo_b = lo[b]
+                    hi_b = hi[b]
+                    if lo_b == hi_b:
+                        if lo_b < 0 or codes[w + lo_b] == token:
+                            break
+                    elif (lo_b < 0 or codes[w + lo_b] < token) and (
+                            hi_b < 0 or token < codes[w + hi_b]):
+                        break
+                    b = values[b - 1]
+                    follows += 1
+                b += 1
+                values.append(b)
+        finally:
+            self.link_follows += follows
+        return values
 
 
 def border_array_generic(text: Sequence[int], kind: ScerKind) -> list[int]:

@@ -3,9 +3,10 @@
 Reads a byte or token text, picks an equivalence relation, and emits any
 subset of {border, scover, lcover, covers, lseeds} as TSV or JSON. With
 --stream, one row per prefix is emitted for any of the three relations,
-as the input arrives: every row for the bytes read so far is written and
-flushed before the next read waits. A bad token ends the stream with exit
-code 2, after the rows for the tokens before it.
+as the input arrives: each decoded chunk goes through one extend() of each
+stage, and its rows are formatted from the arrays, written and flushed
+before the next read waits. A bad token ends the stream with exit code 2,
+after the rows for the tokens before it.
 
 Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 """
@@ -157,39 +158,38 @@ def _stream(chunks: Iterator[Sequence[int]], kind: ScerKind, arrays: list[str], 
     builder = border_mod.BorderBuilder(kind)
     sc = covers_mod.ShortestCoverArray()
     lc = covers_mod.LongestCoverArray()
+    border, scover, lcover = builder.values, sc.scover, lc.lcover
     if fmt == "json":
         import json
+        # a JSON row names its arrays once each, in ARRAY_NAMES order
+        keys = ["i"] + [name for name in ARRAY_NAMES if name in arrays]
     else:
         out.write("i\t" + "\t".join(arrays) + "\n")
-    i = 0
     for chunk in chunks:
-        for token in chunk:
-            i += 1
-            b = builder.push(token)
-            sc.push(b)
-            lc.push(b)
-            row: dict[str, object] = {"i": i}
-            if "border" in arrays:
-                row["border"] = b
-            if "scover" in arrays:
-                row["scover"] = sc.scover[-1]
-            if "lcover" in arrays:
-                row["lcover"] = lc.lcover[-1]
-            if "covers" in arrays:
-                row["covers"] = covers_mod.all_cover_lengths(lc, i)
-            if "lseeds" in arrays:
-                row["lseeds"] = covers_mod.left_seed_lengths(builder.values, lc, i)
-            if fmt == "json":
-                json.dump(row, out)
-                out.write("\n")
-            else:
-                cells = [str(row["i"])]
-                for name in arrays:
-                    v = row[name]
-                    cells.append(",".join(str(x) for x in v) if isinstance(v, list) else str(v))
-                out.write("\t".join(cells) + "\n")
-        # Every row for the bytes read so far is out before the next read waits.
-        out.flush()
+        i0 = len(border)
+        try:
+            builder.extend(chunk)
+        finally:
+            # a bad token stops extend; the rows for the tokens before it go out
+            sc.extend(border[i0:])
+            lc.extend(border[i0:])
+            for i in range(i0 + 1, len(border) + 1):
+                row = {"i": i, "border": border[i - 1], "scover": scover[i - 1],
+                       "lcover": lcover[i - 1]}
+                if "covers" in arrays:
+                    row["covers"] = covers_mod.all_cover_lengths(lc, i)
+                if "lseeds" in arrays:
+                    row["lseeds"] = covers_mod.left_seed_lengths(border, lc, i)
+                if fmt == "json":
+                    out.write(json.dumps({key: row[key] for key in keys}) + "\n")
+                else:
+                    cells = [str(i)]
+                    for name in arrays:
+                        v = row[name]
+                        cells.append(",".join(map(str, v)) if isinstance(v, list) else str(v))
+                    out.write("\t".join(cells) + "\n")
+            # Every row for the bytes read so far is out before the next read waits.
+            out.flush()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -235,7 +235,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     if args.oracle:
                         n, result = _compute_oracle(chunks, kind, arrays)
                     else:
-                        # the builder validates each token once, as it pushes it
+                        # extend checks each token of a token chunk; a bytes chunk needs none
                         builder = border_mod.BorderBuilder(kind)
                         for chunk in chunks:
                             builder.extend(chunk)

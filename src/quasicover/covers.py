@@ -1,21 +1,24 @@
 """Shortest and longest cover arrays, cover-tree queries, and left seeds.
 
 Everything here consumes only a border array; the equivalence relation is
-fully encoded in it. Each array algorithm is one online class whose push()
-takes one border value per prefix and extends its arrays in place. The
-batch functions are plain push loops that return that object, and the
-CLI's streaming mode drives the same classes one value at a time.
+fully encoded in it. Each array algorithm is one online class whose
+extend() is the algorithm: it takes the border values of the next
+prefixes, extends the arrays in place, and publishes the counters once at
+its end. push() is a one-value extend. The batch functions call extend
+once on the whole border array, and the CLI's streaming mode calls it once
+per input chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass
 class ShortestCoverArray:
-    """Online shortest cover array; push() takes one border value per prefix.
+    """Online shortest cover array; extend() takes the border values of the
+    next prefixes, push() one of them.
 
     scover[i-1] is the length of the shortest cover of T[:i] (equal to i
     exactly when T[:i] is primitive). reach[j-1] is the longest prefix
@@ -26,31 +29,43 @@ class ShortestCoverArray:
     scover: list[int] = field(default_factory=list)
     reach: list[int] = field(default_factory=list)
     op_count: int = 0
-    _prev_border: int = field(default=0, compare=False, repr=False)
+    # the border value at the last position, -1 before the first
+    _prev_border: int = field(default=-1, compare=False, repr=False)
 
     def push(self, b: int) -> int:
-        i = len(self.scover) + 1
-        if not (0 <= b < i) or b > self._prev_border + 1:
-            raise ValueError(f"invalid border value {b} at position {i}")
-        self._prev_border = b
-        self.reach.append(0)
-        if b > 0:
-            c = self.scover[b - 1]
-            if self.reach[c - 1] >= i - c:
-                self.scover.append(c)
-                self.reach[c - 1] = i
-                self.op_count += 2
-                return c
-        self.scover.append(i)
-        self.reach[i - 1] = i
-        self.op_count += 2
-        return i
+        return self.extend((b,))[-1]
+
+    def extend(self, border: Iterable[int]) -> list[int]:
+        scover, reach = self.scover, self.reach
+        i = n0 = len(scover)
+        prev = self._prev_border
+        try:
+            for b in border:
+                i += 1
+                # prev < i - 1 here, so b <= prev + 1 implies b < i
+                if not 0 <= b <= prev + 1:
+                    raise ValueError(f"invalid border value {b} at position {i}")
+                prev = b
+                reach.append(0)
+                if b > 0:
+                    c = scover[b - 1]
+                    if reach[c - 1] >= i - c:
+                        scover.append(c)
+                        reach[c - 1] = i
+                        continue
+                scover.append(i)
+                reach[i - 1] = i
+        finally:
+            self.op_count += 2 * (len(scover) - n0)
+            self._prev_border = prev
+        return scover
 
 
 @dataclass
 class LongestCoverArray:
-    """Online longest proper cover array and cover tree; push() takes one
-    border value per prefix and grows the tree by one node.
+    """Online longest proper cover array and cover tree; extend() takes the
+    border values of the next prefixes, push() one of them, and each grows
+    the tree by one node per value.
 
     lcover[i-1] is the longest proper cover length of T[:i], 0 if none.
     The cover tree has nodes 0..n with parent(i) = lcover[i-1] and root 0.
@@ -58,7 +73,7 @@ class LongestCoverArray:
     prefix; longest_ls_anc[j] is the lowest left-seed ancestor of j;
     dead[j] marks node j retired, that is, no longer a left seed. All three
     are indexed 0..n, and while_successes == sum(dead).
-    push's inner loop walks prefix lengths ascending, which keeps every
+    extend's inner loop walks prefix lengths ascending, which keeps every
     node's children count from being decremented after it reaches zero.
     """
 
@@ -68,59 +83,70 @@ class LongestCoverArray:
     dead: list[bool] = field(default_factory=lambda: [False])
     while_successes: int = 0
     op_count: int = 0
-    # called as (i, self) right after the children-count increment
+    # called as (i, self) right after the children-count increment; it sees
+    # the lists mid-extend, and the counters as of the last extend
     after_increment: Callable[[int, LongestCoverArray], None] | None = field(
         default=None, compare=False)
-    _prev_border: int = field(default=0, compare=False, repr=False)
+    # the border value at the last position, -1 before the first
+    _prev_border: int = field(default=-1, compare=False, repr=False)
 
     def push(self, b: int) -> int:
+        return self.extend((b,))[-1]
+
+    def extend(self, border: Iterable[int]) -> list[int]:
         lcover, children, anc = self.lcover, self.ls_children, self.longest_ls_anc
         # a fourth name on the line above would build a tuple: about 4% slower
         dead = self.dead
-        i = len(lcover) + 1
-        prev = self._prev_border
-        if not (0 <= b < i) or b > prev + 1:
-            raise ValueError(f"invalid border value {b} at position {i}")
-        children.append(0)
-        anc.append(i)
-        dead.append(False)
-
-        if children[b] == 0 and 0 < 2 * b < i:
-            anc[b] = anc[lcover[b - 1]]
-        lc = anc[b]
-        lcover.append(lc)
-        children[lc] += 1
-        if self.after_increment is not None:
-            self.after_increment(i, self)
-        steps = 1
+        hook = self.after_increment
+        i = n0 = len(lcover)
+        prev = prev0 = self._prev_border
         retired = 0
-        if i > 1:
-            steps += prev + 1 - b  # the length of the range below
-            for j in range(i - 1 - prev, i - b):
-                while children[j] == 0:
-                    dead[j] = True
-                    j = lcover[j - 1]
-                    children[j] -= 1
-                    retired += 1
-        self.while_successes += retired
-        self.op_count += steps + retired
-        self._prev_border = b
-        return lc
+        try:
+            for b in border:
+                i += 1
+                # prev < i - 1 here, so b <= prev + 1 implies b < i
+                if not 0 <= b <= prev + 1:
+                    raise ValueError(f"invalid border value {b} at position {i}")
+                children.append(0)
+                anc.append(i)
+                dead.append(False)
+                if children[b] == 0 and 0 < 2 * b < i:
+                    anc[b] = anc[lcover[b - 1]]
+                lc = anc[b]
+                lcover.append(lc)
+                children[lc] += 1
+                if hook is not None:
+                    hook(i, self)
+                # the vacated prefix lengths; none when b == prev + 1
+                if b <= prev:
+                    for j in range(i - 1 - prev, i - b):
+                        while children[j] == 0:
+                            dead[j] = True
+                            j = lcover[j - 1]
+                            children[j] -= 1
+                            retired += 1
+                prev = b
+        finally:
+            # Each position costs one step plus the length prev + 1 - b of its
+            # range; over k positions the ranges telescope to k + prev0 - prev.
+            k = len(lcover) - n0
+            self.while_successes += retired
+            self.op_count += 2 * k + prev0 - prev + retired
+            self._prev_border = prev
+        return lcover
 
 
-def shortest_cover_array(border: Sequence[int]) -> ShortestCoverArray:
+def shortest_cover_array(border: Iterable[int]) -> ShortestCoverArray:
     """Shortest cover array from a border array."""
     sca = ShortestCoverArray()
-    for b in border:
-        sca.push(b)
+    sca.extend(border)
     return sca
 
 
-def longest_cover_array(border: Sequence[int]) -> LongestCoverArray:
+def longest_cover_array(border: Iterable[int]) -> LongestCoverArray:
     """Longest proper cover array from a border array (ascending inner loop)."""
     lca = LongestCoverArray()
-    for b in border:
-        lca.push(b)
+    lca.extend(border)
     return lca
 
 
@@ -132,10 +158,10 @@ def longest_cover_array_li_smyth(
 
     An independent reference loop for longest_cover_array on the same
     state: it grows a LongestCoverArray by one node per prefix, and the hook
-    gets that object, as push's does. The vacated prefix-length range is
+    gets that object, as extend's does. The vacated prefix-length range is
     processed top-down, so a retired node can be reached again; dead[j]
     keeps it from being decremented twice. The result equals
-    longest_cover_array's, dead and counters included, and its push()
+    longest_cover_array's, dead and counters included, and its extend()
     continues the text with the ascending loop.
     """
     from .border import validate_border_array
@@ -145,7 +171,7 @@ def longest_cover_array_li_smyth(
     lcover, children, anc, dead = lca.lcover, lca.ls_children, lca.longest_ls_anc, lca.dead
     steps = 0
     retired = 0
-    prev = 0
+    prev = -1
     for i, b in enumerate(border, start=1):
         children.append(0)
         anc.append(i)

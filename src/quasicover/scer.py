@@ -46,6 +46,9 @@ class TokenSeq(tuple):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TokenSeq":
+        # every element of bytes or bytearray is an int in 0..255
+        if isinstance(data, (bytes, bytearray)):
+            return tuple.__new__(cls, data)
         return cls(data)
 
     @classmethod

@@ -7,6 +7,7 @@ import selectors
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 import quasicover
 from conftest import TABLE1_BORDER, TABLE1_LCOVER, TABLE1_SCOVER
 from helpers import SplitStream
-from quasicover.cli import main, read_chunks
+from quasicover.cli import _stream, main, read_chunks
+from quasicover.scer import ScerKind
 
 EXAMPLE = "abaababaabaababa"
 
@@ -275,6 +277,45 @@ class TestStreaming:
         assert lines[1] == "1\t0\t1"
         assert lines[-1].startswith("16\t8\t")
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_stream_repeated_arrays(self, capsys, example_file, fmt):
+        argv = ["--stream", "--format", fmt, example_file, "--arrays"]
+        code, once, _ = run_cli(capsys, argv + ["covers,border"])
+        assert code == 0
+        code, twice, _ = run_cli(capsys, argv + ["covers,border,covers"])
+        assert code == 0
+        if fmt == "json":
+            assert twice == once  # a JSON row names each array once
+        else:
+            rows = [line.split("\t") for line in once.splitlines()]
+            assert [line.split("\t") for line in twice.splitlines()] == [r + r[1:2] for r in rows]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_list_cells_made_one_row_at_a_time(self, fmt):
+        # lseeds rows grow with i, so a chunk's rows must not be held at once
+        class Sink:
+            def write(self, s):
+                pass
+
+            def writelines(self, lines):
+                for _ in lines:
+                    pass
+
+            def flush(self):
+                pass
+
+        a, b = [0], [0, 1]
+        while len(b) < 500:
+            a, b = b, b + a
+        tracemalloc.start()
+        try:
+            _stream(iter([bytes(b[:500])]), ScerKind.IDENTITY, ["covers", "lseeds"], fmt, Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 0.2 MiB one row at a time, 2 MiB with every row of the chunk held
+        assert peak < 1 << 20
+
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         path = tmp_path / "big.txt"
         path.write_bytes(bytes(random.Random(5).choice(b"ab") for _ in range(100_000)))
@@ -320,6 +361,20 @@ class TestOnlineStream:
         assert code == 2
         assert out.splitlines() == ["i\tborder\tscover\tlcover", "1\t0\t1\t0", "2\t0\t2\t0"]
         assert err.startswith("error: bad token input")
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("scer", ["identity", "param", "op"])
+    def test_negative_token_mid_chunk_after_earlier_rows(self, capsys, tmp_path, scer, fmt):
+        # int() accepts -3, so it reaches the builder in the same chunk as 1 2 and 4
+        path = tmp_path / "tokens.txt"
+        path.write_text("1 2 -3 4\n")
+        argv = ["--scer", scer, "--input-mode", "tokens", "--format", fmt, str(path)]
+        code, out, err = run_cli(capsys, argv + ["--stream"])
+        assert code == 2
+        assert err == "error: tokens must be non-negative integers, got -3\n"
+        path.write_text("1 2\n")
+        assert run_cli(capsys, argv + ["--stream"]) == (0, out, "")
+        assert len(out.splitlines()) == (3 if fmt == "tsv" else 2)
 
     def test_read_error_exits_1(self, capsys, monkeypatch):
         class FailingStream:

@@ -17,7 +17,7 @@ from conftest import (
     lseed_set,
     strings,
 )
-from quasicover.border import border_array
+from quasicover.border import BorderBuilder, border_array
 from quasicover.covers import (
     LongestCoverArray,
     ShortestCoverArray,
@@ -372,3 +372,103 @@ class TestLinearity:
         for v in TABLE1_BORDER:
             builder.push(v)
         assert builder.op_count == 2 * len(TABLE1_BORDER)
+
+
+class TestChunking:
+    """extend over any chunking equals per-token push and the batch result."""
+
+    BAD_TOKENS = (-1, 0.5, "a", None)
+
+    def chunkings(self, kind):
+        rng = random.Random(f"chunk-{kind.value}")
+        for n in (0, 1, 2, 40, 300, 5000) * 3:
+            sigma = rng.choice((1, 2, 4, 256))
+            text = [rng.randrange(sigma) for _ in range(n)]
+            cuts, k = [], 0
+            while k < n:
+                size = rng.randint(0, 40)
+                cuts.append((k, k + size))
+                k += size
+            yield rng, text, cuts + [(n, n)]
+
+    @staticmethod
+    def as_chunk(rng, tokens):
+        # bytes chunks skip the token check; the arrays must not change
+        if max(tokens, default=0) < 256 and rng.random() < 0.5:
+            return rng.choice((bytes, bytearray))(tokens)
+        return rng.choice((list, tuple))(tokens)
+
+    @staticmethod
+    def objects(kind):
+        return BorderBuilder(kind), ShortestCoverArray(), LongestCoverArray()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_extend_equals_push_and_batch(self, kind):
+        for rng, text, cuts in self.chunkings(kind):
+            chunked = self.objects(kind)
+            for a, e in cuts:
+                border = chunked[0].values
+                chunked[0].extend(self.as_chunk(rng, text[a:e]))
+                for arr in chunked[1:]:
+                    arr.extend(border[a:e])
+            pushed = self.objects(kind)
+            for t in text:
+                b = pushed[0].push(t)
+                assert pushed[1].push(b) == pushed[1].scover[-1]
+                assert pushed[2].push(b) == pushed[2].lcover[-1]
+            whole = BorderBuilder(kind)
+            border = whole.extend(text)
+            assert border == border_array(text, kind)
+            batch = (whole, shortest_cover_array(border), longest_cover_array(border))
+            # whole objects: arrays, dead, counters and the private state
+            for x, y, z in zip(chunked, pushed, batch):
+                assert vars(x) == vars(y) == vars(z), (kind, len(text), type(x))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_token_mid_chunk_keeps_valid_prefix(self, kind):
+        rng = random.Random(f"bad-{kind.value}")
+        for bad in self.BAD_TOKENS * 8:
+            text = [rng.randrange(3) for _ in range(rng.randint(0, 60))]
+            k = rng.randint(0, len(text))
+            j = rng.randint(0, k)
+            builder = BorderBuilder(kind)
+            builder.extend(text[:j])
+            with pytest.raises(ValueError):
+                builder.extend(text[j:k] + [bad] + text[k:])
+            prefix = BorderBuilder(kind)
+            prefix.extend(text[:k])
+            assert vars(builder) == vars(prefix), (kind, bad, k)
+            assert builder.push(2) == prefix.push(2)
+            assert vars(builder) == vars(prefix)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_border_value_mid_chunk_keeps_valid_prefix(self, kind):
+        rng = random.Random(f"bad-border-{kind.value}")
+        for _ in range(30):
+            border = border_array([rng.randrange(2) for _ in range(rng.randint(1, 60))], kind)
+            k = rng.randint(0, len(border))
+            bad = rng.choice((-1, (border[k - 1] if k else -1) + 2, k + 1))
+            j = rng.randint(0, k)
+            for cls in (ShortestCoverArray, LongestCoverArray):
+                arr = cls()
+                arr.extend(border[:j])
+                with pytest.raises(ValueError):
+                    arr.extend(border[j:k] + [bad] + border[k:])
+                prefix = cls()
+                prefix.extend(border[:k])
+                assert vars(arr) == vars(prefix), (cls, k, bad)
+                assert arr.push(0) == prefix.push(0)
+                assert vars(arr) == vars(prefix)
+
+    def test_hook_sees_each_position_and_counters_per_extend(self):
+        seen = []
+        lca = LongestCoverArray(
+            after_increment=lambda i, arr: seen.append((i, len(arr.lcover), arr.op_count)))
+        border = TABLE1_BORDER
+        for a, e in ((0, 5), (5, 5), (5, 16)):
+            lca.extend(border[a:e])
+        assert [i for i, _, _ in seen] == [m for _, m, _ in seen] == list(range(1, 17))
+        # the counters are published at the end of each extend, not mid-chunk
+        assert {c for i, _, c in seen if i <= 5} == {0}
+        assert {c for i, _, c in seen if i > 5} == {longest_cover_array(border[:5]).op_count}
+        assert lca == longest_cover_array(border)
