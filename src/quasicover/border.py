@@ -75,8 +75,9 @@ class BorderBuilder:
     def extend(self, tokens: Iterable[int]) -> list[int]:
         codes, values, last = self._codes, self.values, self._last
         param = self.kind is ScerKind.PARAMETERIZED
-        # every element of bytes or bytearray is an int in 0..255
-        check = not isinstance(tokens, (bytes, bytearray))
+        # every element of bytes or bytearray is an int in 0..255, and
+        # TokenSeq checked its tokens when it was built
+        check = not isinstance(tokens, (bytes, bytearray, TokenSeq))
         # -1 before the first position: codes[-1] is then the code just
         # appended, which matches itself, so the first value comes out 0
         b = values[-1] if values else -1
@@ -131,7 +132,7 @@ class _OrderIsoBorderBuilder(BorderBuilder):
     def extend(self, tokens: Iterable[int]) -> list[int]:
         codes, lo, hi, values = self._codes, self._lo, self._hi, self.values
         last, distinct = self._last, self._distinct
-        check = not isinstance(tokens, (bytes, bytearray))
+        check = not isinstance(tokens, (bytes, bytearray, TokenSeq))
         # -1 before the first position: lo[-1] == hi[-1] == -1 then, so the
         # first value comes out 0
         b = values[-1] if values else -1

@@ -12,6 +12,7 @@ per input chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from typing import Callable, Iterable, Sequence
 
 
@@ -45,16 +46,24 @@ class ShortestCoverArray:
                 # prev < i - 1 here, so b <= prev + 1 implies b < i
                 if not 0 <= b <= prev + 1:
                     raise ValueError(f"invalid border value {b} at position {i}")
-                prev = b
-                reach.append(0)
+                # both reads come before the appends, so a b that is no index
+                # raises with the arrays still those of the valid prefix
                 if b > 0:
                     c = scover[b - 1]
                     if reach[c - 1] >= i - c:
+                        prev = b
                         scover.append(c)
                         reach[c - 1] = i
+                        reach.append(0)
                         continue
+                prev = b
                 scover.append(i)
-                reach[i - 1] = i
+                reach.append(i)
+        except TypeError:
+            # a TypeError before this position's append came from b itself
+            if len(scover) < i:
+                raise ValueError(f"invalid border value {b!r} at position {i}") from None
+            raise
         finally:
             self.op_count += 2 * (len(scover) - n0)
             self._prev_border = prev
@@ -71,8 +80,10 @@ class LongestCoverArray:
     The cover tree has nodes 0..n with parent(i) = lcover[i-1] and root 0.
     ls_children[j] counts children of j that are left seeds of the current
     prefix; longest_ls_anc[j] is the lowest left-seed ancestor of j;
-    dead[j] marks node j retired, that is, no longer a left seed. All three
-    are indexed 0..n, and while_successes == sum(dead).
+    dead[j] is the position i that retired node j, the first prefix T[:i]
+    of which j is no left seed, and 0 while j is still a left seed. All
+    three are indexed 0..n, and while_successes counts the nonzero dead
+    entries. left_seed_lengths reads dead to answer a query without a walk.
     extend's inner loop walks prefix lengths ascending, which keeps every
     node's children count from being decremented after it reaches zero.
     """
@@ -80,7 +91,7 @@ class LongestCoverArray:
     lcover: list[int] = field(default_factory=list)
     ls_children: list[int] = field(default_factory=lambda: [0])
     longest_ls_anc: list[int] = field(default_factory=lambda: [0])
-    dead: list[bool] = field(default_factory=lambda: [False])
+    dead: list[int] = field(default_factory=lambda: [0])
     while_successes: int = 0
     op_count: int = 0
     # called as (i, self) right after the children-count increment; it sees
@@ -107,11 +118,13 @@ class LongestCoverArray:
                 # prev < i - 1 here, so b <= prev + 1 implies b < i
                 if not 0 <= b <= prev + 1:
                     raise ValueError(f"invalid border value {b} at position {i}")
-                children.append(0)
-                anc.append(i)
-                dead.append(False)
+                # read before the appends (b < i is not the new node), so a b
+                # that is no index raises with the state that of the valid prefix
                 if children[b] == 0 and 0 < 2 * b < i:
                     anc[b] = anc[lcover[b - 1]]
+                children.append(0)
+                anc.append(i)
+                dead.append(0)
                 lc = anc[b]
                 lcover.append(lc)
                 children[lc] += 1
@@ -121,11 +134,16 @@ class LongestCoverArray:
                 if b <= prev:
                     for j in range(i - 1 - prev, i - b):
                         while children[j] == 0:
-                            dead[j] = True
+                            dead[j] = i
                             j = lcover[j - 1]
                             children[j] -= 1
                             retired += 1
                 prev = b
+        except TypeError:
+            # a TypeError before this position's append came from b itself
+            if len(lcover) < i:
+                raise ValueError(f"invalid border value {b!r} at position {i}") from None
+            raise
         finally:
             # Each position costs one step plus the length prev + 1 - b of its
             # range; over k positions the ranges telescope to k + prev0 - prev.
@@ -159,8 +177,8 @@ def longest_cover_array_li_smyth(
     An independent reference loop for longest_cover_array on the same
     state: it grows a LongestCoverArray by one node per prefix, and the hook
     gets that object, as extend's does. The vacated prefix-length range is
-    processed top-down, so a retired node can be reached again; dead[j]
-    keeps it from being decremented twice. The result equals
+    processed top-down, so a retired node can be reached again; a nonzero
+    dead[j] keeps it from being decremented twice. The result equals
     longest_cover_array's, dead and counters included, and its extend()
     continues the text with the ascending loop.
     """
@@ -175,7 +193,7 @@ def longest_cover_array_li_smyth(
     for i, b in enumerate(border, start=1):
         children.append(0)
         anc.append(i)
-        dead.append(False)
+        dead.append(0)
         if dead[b]:
             anc[b] = anc[lcover[b - 1]]
         lc = anc[b]
@@ -188,7 +206,7 @@ def longest_cover_array_li_smyth(
             steps += (i - b) - (i - 1 - prev)
             for j in range(i - b - 1, i - 2 - prev, -1):
                 while children[j] == 0 and not dead[j]:
-                    dead[j] = True
+                    dead[j] = i
                     j = lcover[j - 1]
                     children[j] -= 1
                     retired += 1
@@ -223,21 +241,60 @@ def is_primitive(sca: ShortestCoverArray, i: int) -> bool:
     return sca.scover[i - 1] == i
 
 
+# _NATURALS[k] == k. Cut-path answers are sliced from it, so they share one
+# int object per value instead of holding their own. Growing it builds a new
+# list and never changes a published one, so a caller's list stays valid
+# whatever another thread grows.
+_NATURALS: list[int] = []
+
+
+def _naturals(n: int) -> list[int]:
+    """The shared list of the ints 0..m - 1, for some m >= n."""
+    global _NATURALS
+    naturals = _NATURALS
+    if len(naturals) < n:
+        # an eighth extra, so that ascending queries copy it O(1) times per entry
+        naturals = _NATURALS = [*naturals, *range(len(naturals), n + (n >> 3))]
+    return naturals
+
+
 def left_seed_lengths(border: Sequence[int], lca: LongestCoverArray, i: int) -> list[int]:
     """All prefix lengths that are left seeds of T[:i], ascending.
 
     Every length in [i - Border[i], i] is a left seed, and the remaining
-    ones are exactly the cover-tree ancestors of those; the union of the
-    ancestor chains gives the full set. lcover values are online (entry k
-    depends only on border[1..k]), so the full-text cover tree serves any
-    prefix query directly.
+    ones are exactly the cover-tree ancestors of those. A node stops being
+    a left seed at the position that retires it and never becomes one
+    again, so the left seeds of T[:i] are also the nodes 1..i with
+    dead[j] == 0 or dead[j] > i. Both readings hold for any i, because
+    lcover values are online (entry k depends only on border[1..k]).
+
+    When at most i / 2 nodes of lca have retired (2 * while_successes <=
+    i), the answer is at least half of 1..i: the cut path finds the retired
+    nodes <= i in one C-level scan of dead and cuts the runs between them
+    from a shared list of ints.
+    Otherwise the walk path takes the union of the ancestor chains of
+    [i - Border[i], i]. The cut path reads dead, which extend updates as it
+    goes, so do not query from inside an after_increment hook.
     """
     if not (1 <= i <= len(lca.lcover)) or i > len(border):
         raise IndexError(f"position {i} out of range for length {len(lca.lcover)}")
+    if 2 * lca.while_successes <= i:
+        dead = lca.dead
+        naturals = _naturals(i + 1)
+        out: list[int] = []
+        start = 1
+        # the nodes 1..i retired at some position; dead[0] is always 0
+        for j in compress(naturals, islice(dead, i + 1)):
+            if dead[j] <= i:
+                out += naturals[start:j]
+                start = j + 1
+        out += naturals[start:i + 1]
+        return out
+    lcover = lca.lcover
     seeds: set[int] = set()
     for k in range(i - border[i - 1], i + 1):
         j = k
         while j > 0 and j not in seeds:
             seeds.add(j)
-            j = lca.lcover[j - 1]
+            j = lcover[j - 1]
     return sorted(seeds)

@@ -103,6 +103,17 @@ def check_left_seeds_match_oracle(s, kind):
     assert left_seed_lengths(b, lca, n) == brute_left_seeds(s, kind, n), (s, kind, "lseeds")
 
 
+def left_seeds_by_walk(border, lcover, i):
+    """The left seeds of T[:i] as the union of the cover-tree ancestor chains
+    of [i - Border[i], i], ascending; reads neither dead nor any counter."""
+    seeds = set()
+    for k in range(i - border[i - 1], i + 1):
+        while k > 0 and k not in seeds:
+            seeds.add(k)
+            k = lcover[k - 1]
+    return sorted(seeds)
+
+
 class SplitStream:
     """A binary input stream whose read1 returns the given pieces in turn.
 

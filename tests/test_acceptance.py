@@ -85,7 +85,7 @@ def test_criterion_3_aab_trace():
     assert snapshots[3] == [2, 1, 0, 0]
     ls = longest_cover_array_li_smyth(border)
     assert list(ls.lcover) == [0, 1, 0]
-    assert list(ls.dead) == [False, True, True, False]
+    assert list(ls.dead) == [0, 3, 3, 0]
     report(3, "aab trace and dead array exact")
 
 

@@ -111,6 +111,8 @@ class TestBuilder:
         for text in texts:
             with pytest.raises(ValueError):
                 border_array(text, kind)
+            with pytest.raises(ValueError):  # only bytes and TokenSeq skip the check
+                border_array(tuple(text), kind)
         builder = BorderBuilder(kind)
         builder.push(1)
         for _ in range(2):  # a rejected token is never stored, so it fails again

@@ -5,21 +5,25 @@ array unchanged, and identity matching implies the other two relations, so
 no identity border is longer than the param or op border at that position.
 Two implementations of one array agree: the CLI's stream with the batch
 functions, whatever the input's chunk sizes, and Li and Smyth's descending
-longest-cover loop with the ascending one. Every cover is a border or the
-whole text.
+longest-cover loop with the ascending one, and both left-seed paths with
+a walk over the cover tree. Every cover is a border or the whole text.
 """
 
 import random
 import sys
+import tracemalloc
 import types
+from collections import Counter
 
 import pytest
 
-from helpers import SplitStream
+from helpers import SplitStream, left_seeds_by_walk
 from quasicover.border import border_array
 from quasicover.cli import main
 from quasicover.covers import (
+    LongestCoverArray,
     all_cover_lengths,
+    left_seed_lengths,
     longest_cover_array,
     longest_cover_array_li_smyth,
     shortest_cover_array,
@@ -149,3 +153,73 @@ def test_covers_are_in_border_chain(name, kind):
             chain.add(j)
             j = b[j - 1]
         assert set(all_cover_lengths(lca, i)) <= chain, i
+
+
+def overlapping_copies(n, rng):
+    """Copies of a word u = v w v whose only border is v, in the order of
+    the Fibonacci word: 0 appends u, 1 appends u overlapping the last copy
+    by v. Long borders, deep cover chains, few lcover retirements."""
+    while True:
+        v = [rng.randrange(4) for _ in range(2)]
+        u = v + [rng.randrange(4) for _ in range(3)] + v
+        if max(b for b in range(len(u)) if u[:b] == u[len(u) - b:]) == 2:
+            break
+    s = []
+    for letter in fibonacci(n):
+        s += u[2:] if letter else u
+        if len(s) >= n:
+            return s[:n]
+
+
+LSEED_TEXTS = {
+    "fibonacci": TEXTS["fibonacci"],
+    "overlapping": overlapping_copies(N, random.Random(5)),
+    "random4": TEXTS["random4"],
+}
+
+
+def left_seed_queries(text, kind, rng):
+    """(border, lca, i) at seeded positions of a whole-text build, then at
+    the end of each chunk of a chunked build and at one earlier position."""
+    border = border_array(text, kind)
+    lca = longest_cover_array(border)
+    for i in rng.sample(range(1, N + 1), 150):
+        yield border, lca, i
+    lca = LongestCoverArray()
+    while len(lca.lcover) < N:
+        k = len(lca.lcover)
+        lca.extend(border[k:k + rng.randint(1, 1 << rng.randrange(11))])
+        k = len(lca.lcover)
+        for i in (k, rng.randint(1, k)):
+            yield border, lca, i
+
+
+@pytest.mark.parametrize("kind", ScerKind)
+def test_left_seeds_equal_walk(kind):
+    rng = random.Random(5)
+    paths = Counter()
+    for name, text in LSEED_TEXTS.items():
+        for border, lca, i in left_seed_queries(text, kind, rng):
+            # the path rule of left_seed_lengths: True is the cut path
+            paths[2 * lca.while_successes <= i] += 1
+            assert left_seed_lengths(border, lca, i) == left_seeds_by_walk(
+                border, lca.lcover, i), (name, i)
+    assert paths[True] >= 200 and paths[False] >= 200, paths
+
+
+def test_left_seed_answers_share_ints():
+    border = border_array(LSEED_TEXTS["overlapping"], ScerKind.IDENTITY)
+    lca = longest_cover_array(border)
+    positions = random.Random(6).sample(range(N // 2, N + 1), 32)
+    assert 2 * lca.while_successes <= min(positions)
+    left_seed_lengths(border, lca, N)  # grows the shared ints before the count
+    tracemalloc.start()
+    try:
+        answers = [left_seed_lengths(border, lca, i) for i in positions]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    items = sum(map(len, answers))
+    # a list slot is 8 bytes, plus up to an eighth of over-allocation; an int
+    # object of its own would add 32 bytes per item
+    assert held < 10 * items, (held, items)
