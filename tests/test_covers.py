@@ -474,3 +474,26 @@ class TestChunking:
         assert {c for i, _, c in seen if i <= 5} == {0}
         assert {c for i, _, c in seen if i > 5} == {longest_cover_array(border[:5]).op_count}
         assert lca == longest_cover_array(border)
+
+    def test_hook_exception_finishes_its_position(self):
+        rng = random.Random(41)
+        random4 = border_array([rng.randrange(4) for _ in range(150)], ScerKind.IDENTITY)
+        for border in (TABLE1_BORDER, [0, 1, 0, 1, 2, 3, 4, 5, 2, 3], random4):
+            whole = longest_cover_array(border)
+            for i in range(1, len(border) + 1):
+
+                def hook(j, arr, i=i):
+                    if j == i:
+                        raise KeyboardInterrupt
+
+                lca = LongestCoverArray(after_increment=hook)
+                j = rng.randint(0, i - 1)
+                lca.extend(border[:j])
+                with pytest.raises(KeyboardInterrupt):
+                    lca.extend(border[j:])
+                # position i is finished: its retirements done, its border stored
+                prefix = longest_cover_array(border[:i])
+                assert lca == prefix and lca._prev_border == prefix._prev_border, i
+                lca.after_increment = None
+                lca.extend(border[i:])
+                assert lca == whole and lca._prev_border == whole._prev_border, i

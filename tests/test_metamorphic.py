@@ -5,8 +5,9 @@ array unchanged, and identity matching implies the other two relations, so
 no identity border is longer than the param or op border at that position.
 Two implementations of one array agree: the CLI's stream with the batch
 functions, whatever the input's chunk sizes, and Li and Smyth's descending
-longest-cover loop with the ascending one, and both left-seed paths with
-a walk over the cover tree. Every cover is a border or the whole text.
+longest-cover loop with the ascending one, a chunked longest-cover build
+with the one-shot build, and both left-seed paths with a walk over the
+cover tree. Every cover is a border or the whole text.
 """
 
 import random
@@ -176,6 +177,60 @@ LSEED_TEXTS = {
     "overlapping": overlapping_copies(N, random.Random(5)),
     "random4": TEXTS["random4"],
 }
+
+
+def assert_lists_sized(lca):
+    n = len(lca.lcover) + 1
+    assert len(lca.ls_children) == len(lca.longest_ls_anc) == len(lca.dead) == n
+
+
+class HookStop(Exception):
+    pass
+
+
+def raise_at(i):
+    def hook(j, lca):
+        if j == i:
+            raise HookStop
+    return hook
+
+
+@pytest.mark.parametrize("kind", ScerKind)
+@pytest.mark.parametrize("name", LSEED_TEXTS)
+def test_chunked_lcover_equals_one_shot(name, kind):
+    """extend over chunks of 1..64 values, one of them stopped by a bad value
+    and one by a raising hook, equals the one-shot build and li_smyth."""
+    border = border_array(LSEED_TEXTS[name], kind)
+    rng = random.Random(8)
+    # more than a chunk apart, so that each stops an extend of its own
+    bad_at, hook_at = rng.randint(1, N // 2), rng.randint(N // 2 + 65, N)
+    lca = LongestCoverArray()
+    while len(lca.lcover) < N:
+        k = len(lca.lcover)
+        chunk = border[k:k + rng.randint(1, 64)]
+        e = k + len(chunk)
+        if k < bad_at <= e:
+            chunk[bad_at - k - 1] = -1
+            with pytest.raises(ValueError):
+                lca.extend(chunk)
+            assert lca == longest_cover_array(border[:bad_at - 1])
+            bad_at = 0
+        elif k < hook_at <= e:
+            lca.after_increment = raise_at(hook_at)
+            with pytest.raises(HookStop):
+                lca.extend(chunk)
+            lca.after_increment = None
+            assert lca == longest_cover_array(border[:hook_at])
+            hook_at = 0
+        else:
+            # a chunk that is no list or tuple is read into a list first
+            lca.extend(rng.choice((list, tuple, iter))(chunk))
+        assert_lists_sized(lca)
+    assert (bad_at, hook_at) == (0, 0)
+    # whole objects: arrays, dead, ls_children, longest_ls_anc and counters
+    one_shot = longest_cover_array(border)
+    assert lca == one_shot == longest_cover_array_li_smyth(border)
+    assert lca._prev_border == one_shot._prev_border
 
 
 def left_seed_queries(text, kind, rng):

@@ -1,8 +1,9 @@
 """Differential property tests against the oracles beyond 3-letter alphabets.
 
 The exhaustive universes elsewhere stop at binary length 10 and ternary
-length 8; here hypothesis draws texts of length up to 16 over alphabets of
-up to n arbitrary non-negative symbols, for every relation.
+length 8; here hypothesis draws texts of length up to 30 over alphabets of
+up to n arbitrary non-negative symbols, for every relation, and builds the
+longest cover array over a drawn chunking of the border array.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import KINDS
 from quasicover.border import border_array
 from quasicover.covers import (
+    LongestCoverArray,
     all_cover_lengths,
     left_seed_lengths,
     longest_cover_array,
@@ -26,7 +28,7 @@ from quasicover.oracle import (
     brute_scover,
 )
 
-MAX_LEN = 16
+MAX_LEN = 30
 
 
 @st.composite
@@ -40,8 +42,8 @@ def texts(draw):
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(s=texts())
-def test_fast_paths_match_oracles(kind, s):
+@given(s=texts(), data=st.data())
+def test_fast_paths_match_oracles(kind, s, data):
     n = len(s)
     b = border_array(s, kind)
     assert b == brute_border_array(s, kind)
@@ -50,5 +52,11 @@ def test_fast_paths_match_oracles(kind, s):
     lca, ls = longest_cover_array(b), longest_cover_array_li_smyth(b)
     assert lca.lcover == lcover
     assert ls == lca  # arrays, dead and counters
+    chunked = LongestCoverArray()
+    for size in data.draw(st.lists(st.integers(1, n), max_size=n)):
+        k = len(chunked.lcover)
+        chunked.extend(b[k:k + size])
+    chunked.extend(b[len(chunked.lcover):])
+    assert chunked == lca
     assert all_cover_lengths(lca, n) == sorted(brute_cover_set(s, kind))
     assert left_seed_lengths(b, lca, n) == brute_left_seeds(s, kind, n)
