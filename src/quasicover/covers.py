@@ -56,6 +56,9 @@ class ShortestCoverArray:
                         reach[c - 1] = i
                         reach.append(0)
                         continue
+                else:
+                    # b == 0 never indexes above; this does, so 0.0 raises too
+                    b = (0,)[b]
                 prev = b
                 scover.append(i)
                 reach.append(i)
@@ -89,11 +92,7 @@ class LongestCoverArray:
     The prefix lengths vacated at consecutive positions form consecutive
     ranges, so one pointer, len(lcover) - (last border value) at the start
     of each extend, walks them all. extend sizes ls_children and dead to
-    the end of the chunk first and cuts them back when it stops, so a
-    multi-value extend's hook sees them with zeros past node i. If the hook
-    raises at position i, extend finishes position i (its retirements and
-    stored border) before the exception propagates: the object is then the
-    one built from the values up to i, and extend can continue it.
+    the end of the chunk first and cuts them back when it stops.
     """
 
     lcover: list[int] = field(default_factory=list)
@@ -102,10 +101,6 @@ class LongestCoverArray:
     dead: list[int] = field(default_factory=lambda: [0])
     while_successes: int = 0
     op_count: int = 0
-    # called as (i, self) right after the children-count increment; it sees
-    # the lists mid-extend, and the counters as of the last extend
-    after_increment: Callable[[int, LongestCoverArray], None] | None = field(
-        default=None, compare=False)
     # the border value at the last position, -1 before the first
     _prev_border: int = field(default=-1, compare=False, repr=False)
 
@@ -116,7 +111,6 @@ class LongestCoverArray:
         lcover, children, anc = self.lcover, self.ls_children, self.longest_ls_anc
         # a fourth name on the line above would build a tuple: about 4% slower
         dead = self.dead
-        hook = self.after_increment
         if not isinstance(border, (list, tuple)):
             border = list(border)
         i = n0 = len(lcover)
@@ -144,23 +138,6 @@ class LongestCoverArray:
                 lc = anc[b]
                 lcover.append(lc)
                 children[lc] += 1
-                if hook is not None:
-                    try:
-                        hook(i, self)
-                    except BaseException:
-                        # finish position i, so that the object is the one
-                        # built from the values up to i and can continue
-                        hi = i - b
-                        while lo < hi:
-                            j = lo
-                            lo += 1
-                            while children[j] == 0:
-                                dead[j] = i
-                                j = lcover[j - 1]
-                                children[j] -= 1
-                                retired += 1
-                        prev = b
-                        raise
                 # the vacated prefix lengths; none when b == prev + 1
                 if b <= prev:
                     hi = i - b
@@ -210,8 +187,9 @@ def longest_cover_array_li_smyth(
     """Longest cover array via Li and Smyth's descending inner loop.
 
     An independent reference loop for longest_cover_array on the same
-    state: it grows a LongestCoverArray by one node per prefix, and the hook
-    gets that object, as extend's does. The vacated prefix-length range is
+    state: it grows a LongestCoverArray by one node per prefix and calls
+    the hook as (i, that object) right after the children-count increment
+    of position i, before its retirements. The vacated prefix-length range is
     processed top-down, so a retired node can be reached again; a nonzero
     dead[j] keeps it from being decremented twice. The result equals
     longest_cover_array's, dead and counters included, and its extend()
@@ -308,8 +286,9 @@ def left_seed_lengths(border: Sequence[int], lca: LongestCoverArray, i: int) -> 
     nodes <= i in one C-level scan of dead and cuts the runs between them
     from a shared list of ints.
     Otherwise the walk path takes the union of the ancestor chains of
-    [i - Border[i], i]. The cut path reads dead, which extend updates as it
-    goes, so do not query from inside an after_increment hook.
+    [i - Border[i], i]. The cut path reads dead, which
+    longest_cover_array_li_smyth updates as it goes, so do not query from
+    inside its after_increment hook.
     """
     if not (1 <= i <= len(lca.lcover)) or i > len(border):
         raise IndexError(f"position {i} out of range for length {len(lca.lcover)}")

@@ -78,12 +78,12 @@ def test_criterion_3_aab_trace():
     def grab(i, builder):
         snapshots[i] = list(builder.ls_children)
 
-    lca = LongestCoverArray(after_increment=grab)
+    lca = LongestCoverArray()
     for b in border:
         lca.push(b)
     assert list(lca.lcover) == [0, 1, 0]
+    ls = longest_cover_array_li_smyth(border, after_increment=grab)
     assert snapshots[3] == [2, 1, 0, 0]
-    ls = longest_cover_array_li_smyth(border)
     assert list(ls.lcover) == [0, 1, 0]
     assert list(ls.dead) == [0, 3, 3, 0]
     report(3, "aab trace and dead array exact")

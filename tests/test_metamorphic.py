@@ -184,26 +184,14 @@ def assert_lists_sized(lca):
     assert len(lca.ls_children) == len(lca.longest_ls_anc) == len(lca.dead) == n
 
 
-class HookStop(Exception):
-    pass
-
-
-def raise_at(i):
-    def hook(j, lca):
-        if j == i:
-            raise HookStop
-    return hook
-
-
 @pytest.mark.parametrize("kind", ScerKind)
 @pytest.mark.parametrize("name", LSEED_TEXTS)
 def test_chunked_lcover_equals_one_shot(name, kind):
-    """extend over chunks of 1..64 values, one of them stopped by a bad value
-    and one by a raising hook, equals the one-shot build and li_smyth."""
+    """extend over chunks of 1..64 values, one of them stopped by a bad
+    value, equals the one-shot build and li_smyth."""
     border = border_array(LSEED_TEXTS[name], kind)
     rng = random.Random(8)
-    # more than a chunk apart, so that each stops an extend of its own
-    bad_at, hook_at = rng.randint(1, N // 2), rng.randint(N // 2 + 65, N)
+    bad_at = rng.randint(1, N // 2)
     lca = LongestCoverArray()
     while len(lca.lcover) < N:
         k = len(lca.lcover)
@@ -215,18 +203,11 @@ def test_chunked_lcover_equals_one_shot(name, kind):
                 lca.extend(chunk)
             assert lca == longest_cover_array(border[:bad_at - 1])
             bad_at = 0
-        elif k < hook_at <= e:
-            lca.after_increment = raise_at(hook_at)
-            with pytest.raises(HookStop):
-                lca.extend(chunk)
-            lca.after_increment = None
-            assert lca == longest_cover_array(border[:hook_at])
-            hook_at = 0
         else:
             # a chunk that is no list or tuple is read into a list first
             lca.extend(rng.choice((list, tuple, iter))(chunk))
         assert_lists_sized(lca)
-    assert (bad_at, hook_at) == (0, 0)
+    assert bad_at == 0
     # whole objects: arrays, dead, ls_children, longest_ls_anc and counters
     one_shot = longest_cover_array(border)
     assert lca == one_shot == longest_cover_array_li_smyth(border)

@@ -3,7 +3,7 @@
 The exhaustive universes elsewhere stop at binary length 10 and ternary
 length 8; here hypothesis draws texts of length up to 30 over alphabets of
 up to n arbitrary non-negative symbols, for every relation, and builds the
-longest cover array over a drawn chunking of the border array.
+shortest and longest cover arrays over a drawn chunking of the border array.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from conftest import KINDS
 from quasicover.border import border_array
 from quasicover.covers import (
     LongestCoverArray,
+    ShortestCoverArray,
     all_cover_lengths,
     left_seed_lengths,
     longest_cover_array,
@@ -47,16 +48,21 @@ def test_fast_paths_match_oracles(kind, s, data):
     n = len(s)
     b = border_array(s, kind)
     assert b == brute_border_array(s, kind)
-    assert shortest_cover_array(b).scover == brute_scover(s, kind)
+    sca = shortest_cover_array(b)
+    assert sca.scover == brute_scover(s, kind)
     lcover = brute_lcover(s, kind)
     lca, ls = longest_cover_array(b), longest_cover_array_li_smyth(b)
     assert lca.lcover == lcover
     assert ls == lca  # arrays, dead and counters
-    chunked = LongestCoverArray()
+    chunked, chunked_sca = LongestCoverArray(), ShortestCoverArray()
+    k = 0
     for size in data.draw(st.lists(st.integers(1, n), max_size=n)):
-        k = len(chunked.lcover)
         chunked.extend(b[k:k + size])
-    chunked.extend(b[len(chunked.lcover):])
+        chunked_sca.extend(b[k:k + size])
+        k = len(chunked.lcover)
+    chunked.extend(b[k:])
+    chunked_sca.extend(b[k:])
     assert chunked == lca
+    assert chunked_sca == sca
     assert all_cover_lengths(lca, n) == sorted(brute_cover_set(s, kind))
     assert left_seed_lengths(b, lca, n) == brute_left_seeds(s, kind, n)
