@@ -148,9 +148,11 @@ def _emit_batch(result: dict[str, list[int]], arrays: list[str], fmt: str,
         json.dump(payload, out)
         out.write("\n")
         return
-    out.write("\t".join(["i"] + [str(i) for i in range(1, n + 1)]) + "\n")
+    # every value is in 0..n, so each cell is looked up, not formatted again
+    table = list(map(str, range(n + 1)))
+    out.write("\t".join(["i", *table[1:]]) + "\n")
     for name in arrays:
-        out.write("\t".join([name] + [str(v) for v in result[name]]) + "\n")
+        out.write("\t".join([name, *map(table.__getitem__, result[name])]) + "\n")
 
 
 def _stream(chunks: Iterator[Sequence[int]], kind: ScerKind, arrays: list[str], fmt: str,

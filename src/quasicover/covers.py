@@ -11,8 +11,9 @@ per input chunk.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 
@@ -86,7 +87,13 @@ class LongestCoverArray:
     dead[j] is the position i that retired node j, the first prefix T[:i]
     of which j is no left seed, and 0 while j is still a left seed. All
     three are indexed 0..n, and while_successes counts the nonzero dead
-    entries. left_seed_lengths reads dead to answer a query without a walk.
+    entries. left_seed_lengths answers a query without a walk from
+    _retired, the nodes j with dead[j] > 0 in ascending order. Nodes only
+    ever retire, so the index is current while its length equals
+    while_successes; a query rebuilds it as a new list when it is not, and
+    extend never touches it. longest_cover_array_li_smyth keeps
+    while_successes current for its hook, so a query from there sees the
+    retirements before the hook's position.
     extend's inner loop walks prefix lengths ascending, which keeps every
     node's children count from being decremented after it reaches zero.
     The prefix lengths vacated at consecutive positions form consecutive
@@ -103,6 +110,8 @@ class LongestCoverArray:
     op_count: int = 0
     # the border value at the last position, -1 before the first
     _prev_border: int = field(default=-1, compare=False, repr=False)
+    # the retired nodes, ascending; built by left_seed_lengths, never by extend
+    _retired: list[int] = field(default_factory=list, init=False, compare=False, repr=False)
 
     def push(self, b: int) -> int:
         return self.extend((b,))[-1]
@@ -213,6 +222,8 @@ def longest_cover_array_li_smyth(
         lcover.append(lc)
         children[lc] += 1
         if after_increment is not None:
+            # the count so far keeps _retired's key current for a query from the hook
+            lca.while_successes = retired
             after_increment(i, lca)
         steps += 1
         if i > 1:
@@ -282,23 +293,32 @@ def left_seed_lengths(border: Sequence[int], lca: LongestCoverArray, i: int) -> 
     lcover values are online (entry k depends only on border[1..k]).
 
     When at most i / 2 nodes of lca have retired (2 * while_successes <=
-    i), the answer is at least half of 1..i: the cut path finds the retired
-    nodes <= i in one C-level scan of dead and cuts the runs between them
-    from a shared list of ints.
+    i), the answer is at least half of 1..i: the cut path cuts the runs
+    between the retired nodes j < i with dead[j] <= i from a shared list of
+    ints. A node retires after its own position, so the nodes retired by i
+    are all below i. It reads the retired nodes from lca._retired,
+    which it rebuilds in one C-level scan of dead when the length of the
+    index is not while_successes, so a query costs O(while_successes) plus
+    the answer, not O(i).
     Otherwise the walk path takes the union of the ancestor chains of
-    [i - Border[i], i]. The cut path reads dead, which
-    longest_cover_array_li_smyth updates as it goes, so do not query from
-    inside its after_increment hook.
+    [i - Border[i], i]. longest_cover_array_li_smyth keeps while_successes
+    current before each after_increment call, so a query from its hook sees
+    every retirement before position i. The walk path then answers right;
+    the cut path still counts the nodes that retire at i as left seeds.
     """
     if not (1 <= i <= len(lca.lcover)) or i > len(border):
-        raise IndexError(f"position {i} out of range for length {len(lca.lcover)}")
+        n = min(len(border), len(lca.lcover))
+        raise IndexError(f"position {i} out of range for length {n}")
     if 2 * lca.while_successes <= i:
         dead = lca.dead
-        naturals = _naturals(i + 1)
+        naturals = _naturals(len(dead))
+        retired = lca._retired
+        if len(retired) != lca.while_successes:
+            # a new list, never the old one changed: a reader's list stays valid
+            retired = lca._retired = list(compress(naturals, dead))
         out: list[int] = []
         start = 1
-        # the nodes 1..i retired at some position; dead[0] is always 0
-        for j in compress(naturals, islice(dead, i + 1)):
+        for j in retired[:bisect_left(retired, i)]:
             if dead[j] <= i:
                 out += naturals[start:j]
                 start = j + 1

@@ -103,6 +103,14 @@ def check_left_seeds_match_oracle(s, kind):
     assert left_seed_lengths(b, lca, n) == brute_left_seeds(s, kind, n), (s, kind, "lseeds")
 
 
+def fibonacci(n):
+    """The first n letters of the Fibonacci word over {0, 1}."""
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
 def left_seeds_by_walk(border, lcover, i):
     """The left seeds of T[:i] as the union of the cover-tree ancestor chains
     of [i - Border[i], i], ascending; reads neither dead nor any counter."""

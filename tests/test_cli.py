@@ -16,7 +16,8 @@ import pytest
 import quasicover
 from conftest import TABLE1_BORDER, TABLE1_LCOVER, TABLE1_SCOVER
 from helpers import SplitStream
-from quasicover.cli import _stream, main, read_chunks
+from quasicover.border import border_array
+from quasicover.cli import ARRAY_NAMES, _compute_batch, _stream, main, read_chunks
 from quasicover.scer import ScerKind
 
 EXAMPLE = "abaababaabaababa"
@@ -89,6 +90,21 @@ class TestBatchTsv:
         rows = parse_tsv(out)
         assert [int(v) for v in rows["covers"]] == [3, 8, 16]
         assert 3 in [int(v) for v in rows["lseeds"]]
+
+    @pytest.mark.parametrize("n", [0, 1, 377])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_bytes_equal_per_value_str(self, capsysbinary, tmp_path, n, periodic):
+        # each cell is looked up in a table of str(k); the bytes are str's
+        rng = random.Random(n)
+        text = (EXAMPLE * 30)[:n] if periodic else "".join(rng.choice("ab") for _ in range(n))
+        path = tmp_path / "text.txt"
+        path.write_text(text)
+        assert main(["--arrays", ",".join(ARRAY_NAMES), str(path)]) == 0
+        border = border_array(text.encode(), ScerKind.IDENTITY)
+        result = _compute_batch(border, list(ARRAY_NAMES))
+        lines = ["\t".join(["i"] + [str(i) for i in range(1, n + 1)])]
+        lines += ["\t".join([name] + [str(v) for v in result[name]]) for name in ARRAY_NAMES]
+        assert capsysbinary.readouterr().out == ("\n".join(lines) + "\n").encode()
 
 
 class TestJson:

@@ -17,6 +17,7 @@ from conftest import (
     lseed_set,
     strings,
 )
+from helpers import fibonacci, left_seeds_by_walk
 from quasicover.border import BorderBuilder, border_array
 from quasicover.covers import (
     LongestCoverArray,
@@ -214,6 +215,101 @@ class TestQueries:
             left_seed_lengths(b, lca, 0)
         with pytest.raises(IndexError):
             left_seed_lengths(b, lca, 4)
+
+    def test_left_seeds_range_names_shorter_length(self):
+        # a border shorter than the array bounds the query, and the message says so
+        b = border_array(b"abaababaab", ScerKind.IDENTITY)
+        lca = longest_cover_array(b)
+        with pytest.raises(IndexError, match=r"^position 7 out of range for length 5$"):
+            left_seed_lengths(b[:5], lca, 7)
+        with pytest.raises(IndexError, match=r"^position 7 out of range for length 5$"):
+            left_seed_lengths(b, longest_cover_array(b[:5]), 7)
+        assert left_seed_lengths(b[:5], lca, 5) == left_seed_lengths(b, lca, 5)
+
+
+class TestRetiredIndex:
+    """The cut path reads lca._retired, which it rebuilds when its length is
+    not while_successes; every answer must equal a fresh build's and the walk."""
+
+    def texts(self):
+        rng = random.Random(43)
+        fib = fibonacci(300)
+        yield fib
+        # a flipped letter retires many earlier nodes at once
+        flips = [[150]] + [[rng.randrange(300) for _ in range(rng.randrange(1, 4))]
+                           for _ in range(4)]
+        for ks in flips:
+            t = list(fib)
+            for k in ks:
+                t[k] ^= 1
+            yield t
+        yield [rng.randrange(2) for _ in range(200)]
+
+    @staticmethod
+    def answers(border, lca, n):
+        return [left_seed_lengths(border, lca, i) for i in range(1, n + 1)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_extend_after_cut_path_queries(self, kind):
+        seen = {"cut before": 0, "retired below queries": 0, "cut after": 0}
+        for text in self.texts():
+            b = border_array(text, kind)
+            n = len(b)
+            fresh = longest_cover_array(b)
+            expected = [left_seeds_by_walk(b, fresh.lcover, i) for i in range(1, n + 1)]
+            assert self.answers(b, fresh, n) == expected
+            for k in (40, 100, 160, n - 20):
+                lca = LongestCoverArray()
+                lca.extend(b[:k])
+                assert self.answers(b, lca, k) == expected[:k], (text, k)
+                seen["cut before"] += 2 * lca.while_successes <= k
+                before = lca._retired
+                held = list(before)
+                lca.extend(b[k:])
+                # the chunk retires nodes below the positions already queried
+                seen["retired below queries"] += any(d > k for d in lca.dead[:k])
+                seen["cut after"] += 2 * lca.while_successes <= k
+                assert self.answers(b, lca, n) == expected, (text, k)
+                assert lca == fresh
+                if 2 * lca.while_successes <= n:
+                    # the cut-path query at n brought the index up to date
+                    assert lca._retired == [j for j, d in enumerate(lca.dead) if d]
+                # a rebuild assigns a new list and leaves the one it replaced alone
+                assert before == held
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_query_from_li_smyth_hook(self, kind):
+        rng = random.Random(47)
+        texts = list(strings(10, 2, min_len=1))
+        texts += [tuple(rng.randrange(rng.randrange(1, 4)) for _ in range(rng.randrange(1, 80)))
+                  for _ in range(100)]
+        texts += self.texts()
+        paths = {True: 0, False: 0}
+        for s in texts:
+            b = border_array(s, kind)
+            n = len(b)
+            hooked = {}
+
+            def query(i, lca):
+                cut = 2 * lca.while_successes <= i
+                hooked[i] = cut, left_seed_lengths(b, lca, i)
+
+            lca = longest_cover_array_li_smyth(b, after_increment=query)
+            fresh = longest_cover_array(b)
+            assert lca == fresh
+            expected = [left_seeds_by_walk(b, fresh.lcover, i) for i in range(1, n + 1)]
+            assert self.answers(b, lca, n) == self.answers(b, fresh, n) == expected, s
+            for i, (cut, got) in hooked.items():
+                paths[cut] += 1
+                if cut:
+                    # the hook runs before the retirements at i, which the cut
+                    # path then still counts as left seeds
+                    at_i = [j for j in range(1, i + 1) if fresh.dead[j] == i]
+                    assert got == sorted(expected[i - 1] + at_i), (s, i)
+                else:
+                    assert got == expected[i - 1], (s, i)
+        assert min(paths.values()) > 0, paths
 
 
 def small_universe():

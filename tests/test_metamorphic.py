@@ -18,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import SplitStream, left_seeds_by_walk
+from helpers import SplitStream, fibonacci, left_seeds_by_walk
 from quasicover.border import border_array
 from quasicover.cli import main
 from quasicover.covers import (
@@ -32,13 +32,6 @@ from quasicover.covers import (
 from quasicover.scer import ScerKind
 
 N = 10_000
-
-
-def fibonacci(n):
-    a, b = [0], [0, 1]
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
 
 
 def shifted_copies(n, rng):
