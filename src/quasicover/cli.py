@@ -41,11 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--input-mode", choices=["bytes", "tokens"], default="bytes",
                    help="bytes: each byte is a token; tokens: whitespace-separated integers")
-    p.add_argument("--border-file", default=None,
+    # each picks its own way to get the arrays in main, so at most one is given
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--border-file", default=None,
                    help="use a precomputed border array (one integer per line) instead of the text")
-    p.add_argument("--oracle", action="store_true",
+    g.add_argument("--oracle", action="store_true",
                    help="compute everything with the brute-force reference implementations")
-    p.add_argument("--stream", action="store_true",
+    g.add_argument("--stream", action="store_true",
                    help="emit one row per prefix, as the input arrives")
     return p
 
@@ -119,8 +121,8 @@ def _compute_oracle(chunks: Iterator[Sequence[int]], kind: ScerKind,
     return n, out
 
 
-def _compute_batch(border: list[int], arrays: list[str]) -> dict[str, list[int]]:
-    """The requested arrays from a border array."""
+def _compute_batch(border: list[int], arrays: list[str]) -> tuple[int, dict[str, list[int]]]:
+    """n and the requested arrays, from a border array."""
     n = len(border)
     out: dict[str, list[int]] = {}
     if "border" in arrays:
@@ -135,7 +137,7 @@ def _compute_batch(border: list[int], arrays: list[str]) -> dict[str, list[int]]
             out["covers"] = covers_mod.all_cover_lengths(lca, n) if n else []
         if "lseeds" in arrays:
             out["lseeds"] = covers_mod.left_seed_lengths(border, lca, n) if n else []
-    return out
+    return n, out
 
 
 def _emit_batch(result: dict[str, list[int]], arrays: list[str], fmt: str,
@@ -203,47 +205,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     kind = ScerKind.parse(args.scer)
 
-    if args.stream and (args.oracle or args.border_file):
-        print("error: --stream cannot be combined with --oracle or --border-file",
-              file=sys.stderr)
-        return 2
     if args.border_file is not None and args.input != "-":
         print("error: --border-file replaces INPUT; drop one of them", file=sys.stderr)
         return 2
-    if args.oracle and args.border_file:
-        print("error: --oracle recomputes from the text; drop --border-file", file=sys.stderr)
-        return 2
-
-    border = None
-    if args.border_file is not None:
-        try:
-            border = border_mod.read_border_file(args.border_file)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
 
     try:
-        if args.stream:
-            with _open_input(args.input) as stream:
-                _stream(read_chunks(stream, args.input_mode), kind, arrays, args.format,
-                        sys.stdout)
+        if args.border_file is not None:
+            n, result = _compute_batch(border_mod.read_border_file(args.border_file), arrays)
         else:
-            if border is None:
-                with _open_input(args.input) as stream:
-                    chunks = read_chunks(stream, args.input_mode)
-                    if args.oracle:
-                        n, result = _compute_oracle(chunks, kind, arrays)
-                    else:
-                        # extend checks each token of a token chunk; a bytes chunk needs none
-                        builder = border_mod.BorderBuilder(kind)
-                        for chunk in chunks:
-                            builder.extend(chunk)
-                        border = builder.values
-            if not args.oracle:
-                n, result = len(border), _compute_batch(border, arrays)
+            with _open_input(args.input) as stream:
+                chunks = read_chunks(stream, args.input_mode)
+                if args.stream:
+                    _stream(chunks, kind, arrays, args.format, sys.stdout)
+                elif args.oracle:
+                    n, result = _compute_oracle(chunks, kind, arrays)
+                else:
+                    # extend checks each token of a token chunk; a bytes chunk needs none
+                    builder = border_mod.BorderBuilder(kind)
+                    for chunk in chunks:
+                        builder.extend(chunk)
+                    n, result = _compute_batch(builder.values, arrays)
+        if not args.stream:
             _emit_batch(result, arrays, args.format, n, kind.value, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:

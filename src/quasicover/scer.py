@@ -31,8 +31,8 @@ class ScerKind(enum.Enum):
 class TokenSeq(tuple):
     """Immutable sequence of non-negative integer tokens.
 
-    Positions are 1-based in the public helpers below; internally this is
-    just a tuple, so ordinary 0-based indexing and slicing work too.
+    It is just a tuple whose tokens were checked once, when it was built, so
+    ordinary 0-based indexing and slicing work.
     """
 
     __slots__ = ()
@@ -54,24 +54,6 @@ class TokenSeq(tuple):
     @classmethod
     def from_text(cls, text: str) -> "TokenSeq":
         return cls(ord(ch) for ch in text)
-
-    def substring(self, i: int, j: int) -> "TokenSeq":
-        """T[i:j] with 1-based inclusive endpoints, 1 <= i <= j <= n."""
-        if not (1 <= i <= j <= len(self)):
-            raise IndexError(f"substring bounds ({i}, {j}) out of range for length {len(self)}")
-        return TokenSeq(tuple.__getitem__(self, slice(i - 1, j)))
-
-    def prefix(self, j: int) -> "TokenSeq":
-        """T[:j], the first j tokens (j may be 0)."""
-        if not (0 <= j <= len(self)):
-            raise IndexError(f"prefix length {j} out of range for length {len(self)}")
-        return TokenSeq(tuple.__getitem__(self, slice(0, j)))
-
-    def suffix(self, i: int) -> "TokenSeq":
-        """T[i:], the suffix starting at 1-based position i."""
-        if not (1 <= i <= len(self) + 1):
-            raise IndexError(f"suffix start {i} out of range for length {len(self)}")
-        return TokenSeq(tuple.__getitem__(self, slice(i - 1, len(self))))
 
 
 def prev_encode(tokens: Sequence[int]) -> tuple[int, ...]:

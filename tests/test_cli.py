@@ -59,6 +59,12 @@ def read_lines(pipe, count, timeout):
     return buf.decode().splitlines()
 
 
+def run_module(argv, stdin=b""):
+    """`python -m quasicover.cli ARGV` in a child, run to its end."""
+    return subprocess.run([sys.executable, "-m", "quasicover.cli", *argv], input=stdin,
+                          capture_output=True, env=cli_env(), timeout=60)
+
+
 def parse_tsv(out):
     rows = {}
     for line in out.splitlines():
@@ -101,7 +107,7 @@ class TestBatchTsv:
         path.write_text(text)
         assert main(["--arrays", ",".join(ARRAY_NAMES), str(path)]) == 0
         border = border_array(text.encode(), ScerKind.IDENTITY)
-        result = _compute_batch(border, list(ARRAY_NAMES))
+        _, result = _compute_batch(border, list(ARRAY_NAMES))
         lines = ["\t".join(["i"] + [str(i) for i in range(1, n + 1)])]
         lines += ["\t".join([name] + [str(v) for v in result[name]]) for name in ARRAY_NAMES]
         assert capsysbinary.readouterr().out == ("\n".join(lines) + "\n").encode()
@@ -214,6 +220,22 @@ class TestBorderFile:
         assert code == 2
         assert err
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "border.txt"
+        lines = list(map(str, TABLE1_BORDER))
+        path.write_text("\n".join(["", *lines[:8], "", "  ", *lines[8:], "", ""]))
+        proc = run_module(["--border-file", str(path), "--arrays", "scover,lcover"])
+        assert proc.returncode == 0
+        rows = parse_tsv(proc.stdout.decode())
+        assert [int(v) for v in rows["scover"]] == TABLE1_SCOVER
+        assert [int(v) for v in rows["lcover"]] == TABLE1_LCOVER
+
+    def test_missing_border_file_exit_1(self, tmp_path):
+        proc = run_module(["--border-file", str(tmp_path / "nope.txt")])
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: [Errno 2] ")
+
 
 class TestBadRequests:
     def test_unknown_array_exit_2(self, capsys, example_file):
@@ -232,6 +254,17 @@ class TestBadRequests:
         assert code == 2
         assert out == ""
         assert "--border-file" in err
+
+    @pytest.mark.parametrize("flags", [["--stream", "--oracle"],
+                                       ["--oracle", "--border-file", "B"],
+                                       ["--stream", "--border-file", "B"]])
+    def test_source_flags_exclude_each_other(self, tmp_path, flags):
+        # B names a valid border file, so only the pairing is at fault
+        border = tmp_path / "b.txt"
+        border.write_text("0\n1\n")
+        proc = run_module([str(border) if f == "B" else f for f in flags])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
 
 
 class TestStreaming:

@@ -9,10 +9,6 @@ from conftest import KINDS, strings
 from quasicover.scer import ScerKind, TokenSeq, equiv, prev_encode, rank_signature
 
 
-def toks(text):
-    return TokenSeq.from_text(text)
-
-
 class TestEquiv:
     def test_empty_strings(self):
         for kind in KINDS:
@@ -64,15 +60,6 @@ class TestTokenSeq:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             TokenSeq([-1])
-
-    def test_one_based_addressing(self):
-        t = TokenSeq([10, 20, 30])
-        assert t.substring(1, 3) == (10, 20, 30)
-        assert t.substring(2, 2) == (20,)
-        assert t.prefix(0) == ()
-        assert t.suffix(3) == (30,)
-        with pytest.raises(IndexError):
-            t.substring(0, 1)
 
     def test_from_bytes(self):
         assert TokenSeq.from_bytes(b"ab") == (97, 98)
