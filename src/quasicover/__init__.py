@@ -2,7 +2,7 @@
 equivalence relations: border arrays, shortest and longest cover arrays,
 cover-tree queries, and left seeds, with brute-force reference oracles."""
 
-from .border import BorderBuilder, border_array, border_array_generic, validate_border_array
+from .border import BorderBuilder, border_array, border_array_generic
 from .covers import (
     LongestCoverArray,
     ShortestCoverArray,
@@ -12,6 +12,7 @@ from .covers import (
     longest_cover_array,
     longest_cover_array_li_smyth,
     shortest_cover_array,
+    validate_border_array,
 )
 from .scer import ScerKind, TokenSeq, equiv, prev_encode, rank_signature
 

@@ -13,24 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
+from .covers import validate_border_array
 from .scer import ScerKind, TokenSeq, equiv
-
-
-def validate_border_array(values: Sequence[int]) -> None:
-    """Raise ValueError unless `values` can be a border array.
-
-    Checks 0 <= values[i] < i for every 1-based i and the step property
-    values[i-1] + 1 >= values[i]. Both cover-array algorithms index with
-    these values, so malformed input must be rejected up front.
-    """
-    prev = 0
-    for k, v in enumerate(values):
-        i = k + 1
-        if not (0 <= v < i):
-            raise ValueError(f"border value {v} out of range at position {i}")
-        if v > prev + 1:
-            raise ValueError(f"border array violates step property at position {i}: {prev} -> {v}")
-        prev = v
 
 
 class BorderBuilder:

@@ -165,8 +165,7 @@ def _stream(chunks: Iterator[Sequence[int]], kind: ScerKind, arrays: list[str], 
     border, scover, lcover = builder.values, sc.scover, lc.lcover
     if fmt == "json":
         import json
-        # a JSON row names its arrays once each, in ARRAY_NAMES order
-        keys = ["i"] + [name for name in ARRAY_NAMES if name in arrays]
+        keys = ["i", *arrays]
     else:
         out.write("i\t" + "\t".join(arrays) + "\n")
     for chunk in chunks:

@@ -74,6 +74,12 @@ class ShortestCoverArray:
         return scover
 
 
+def validate_border_array(values: Iterable[int]) -> None:
+    """Raise ValueError unless `values` can be a border array: the check of
+    both cover-array extends, run on a throwaway ShortestCoverArray."""
+    ShortestCoverArray().extend(values)
+
+
 @dataclass
 class LongestCoverArray:
     """Online longest proper cover array and cover tree; extend() takes the
@@ -204,8 +210,6 @@ def longest_cover_array_li_smyth(
     longest_cover_array's, dead and counters included, and its extend()
     continues the text with the ascending loop.
     """
-    from .border import validate_border_array
-
     validate_border_array(border)
     lca = LongestCoverArray()
     lcover, children, anc, dead = lca.lcover, lca.ls_children, lca.longest_ls_anc, lca.dead

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .scer import ScerKind, TokenSeq, equiv
+from .scer import ScerKind, equiv
 
 
 def occurrences(pattern: Sequence[int], text: Sequence[int], kind: ScerKind) -> list[int]:

@@ -40,7 +40,12 @@ class TokenSeq(tuple):
     def __new__(cls, tokens: Iterable[int] = ()) -> "TokenSeq":
         seq = super().__new__(cls, tokens)
         for t in seq:
-            if not isinstance(t, int) or t < 0:
+            # BorderBuilder.extend's test: ~t < 0 exactly for non-negative ints
+            try:
+                c = ~t
+            except TypeError:
+                c = 0
+            if c >= 0:
                 raise ValueError(f"tokens must be non-negative integers, got {t!r}")
         return seq
 

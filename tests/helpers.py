@@ -1,5 +1,5 @@
-"""Checks shared between the fast lemma tests and the acceptance suite,
-and a fake input stream for the CLI tests.
+"""The acceptance suite's per-string checks, and texts, a left-seed walk and
+a fake input stream shared by the other tests.
 
 Each check returns silently or raises AssertionError with the offending
 string; callers decide the universe to sweep.
@@ -87,9 +87,10 @@ def check_arrays_match_oracle(s, kind):
     assert border_array(s, kind) == b, (s, kind, "border")
     assert border_array_generic(s, kind) == b, (s, kind, "border-generic")
     assert list(shortest_cover_array(b).scover) == brute_scover(s, kind), (s, kind, "scover")
-    expected = brute_lcover(s, kind)
-    assert list(longest_cover_array(b).lcover) == expected, (s, kind, "lcover")
-    assert list(longest_cover_array_li_smyth(b).lcover) == expected, (s, kind, "lcover-ls")
+    lca = longest_cover_array(b)
+    assert list(lca.lcover) == brute_lcover(s, kind), (s, kind, "lcover")
+    # whole objects: dead and the counters too
+    assert longest_cover_array_li_smyth(b) == lca, (s, kind, "li-smyth")
 
 
 def check_left_seeds_match_oracle(s, kind):

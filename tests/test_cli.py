@@ -326,6 +326,14 @@ class TestStreaming:
         assert lines[1] == "1\t0\t1"
         assert lines[-1].startswith("16\t8\t")
 
+    def test_stream_json_keys_in_batch_order(self, capsys, example_file):
+        argv = ["--arrays", "lcover,border", example_file]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert list(json.loads(out)) == ["n", "scer", "lcover", "border"]
+        for row in self.stream_rows(capsys, argv):
+            assert list(row) == ["i", "lcover", "border"]
+
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_stream_repeated_arrays(self, capsys, example_file, fmt):
         argv = ["--stream", "--format", fmt, example_file, "--arrays"]

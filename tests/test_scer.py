@@ -1,11 +1,14 @@
 """Equivalence predicates and canonical encodings."""
 
 from collections import defaultdict
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from conftest import KINDS, strings
+from quasicover.border import BorderBuilder, border_array, border_array_generic
 from quasicover.scer import ScerKind, TokenSeq, equiv, prev_encode, rank_signature
 
 
@@ -63,6 +66,34 @@ class TestTokenSeq:
 
     def test_from_bytes(self):
         assert TokenSeq.from_bytes(b"ab") == (97, 98)
+
+    @staticmethod
+    def verdict(build, token):
+        """None if build([token]) accepts the token, else the type it raises:
+        a warning counts, as ~True warns from Python 3.12."""
+        try:
+            build([token])
+        except (ValueError, Warning) as exc:
+            return type(exc)
+        return None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_tokens_as_border_builder(self, kind):
+        def extend(tokens):
+            return BorderBuilder(kind).extend(tokens)
+
+        for token in (-1, 0, 2**70, True, 1.0, 0.5, "1", None, Fraction(1), Decimal(1)):
+            assert self.verdict(TokenSeq, token) == self.verdict(extend, token), (kind, token)
+        assert self.verdict(TokenSeq, 0.5) is ValueError
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_numpy_int_tokens_accepted(self, kind):
+        np = pytest.importorskip("numpy")
+        text = [0, 1, 0, 0, 1, 0, 1, 0]
+        tokens = list(np.array(text, dtype=np.int64))
+        assert self.verdict(TokenSeq, tokens[1]) is None
+        assert border_array_generic(tokens, kind) == border_array(tokens, kind) == border_array(
+            text, kind)
 
 
 def classes(max_len, alphabet_size, kind):
