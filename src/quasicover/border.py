@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .covers import validate_border_array
+from .covers import _naturals, validate_border_array
 from .scer import ScerKind, TokenSeq, equiv
 
 
@@ -22,10 +22,13 @@ class BorderBuilder:
 
     extend(tokens) is the algorithm: it takes a chunk of non-negative
     integer tokens, raises ValueError on anything else, and returns
-    `values`, the border array of the tokens seen so far. push(token) is a
-    one-token extend that returns the new border value. `link_follows`
-    counts failure-link descents (amortized, at most 2n over the whole
-    run); it is published once per extend.
+    `values`, the border array of the tokens seen so far. A chunk that is
+    not a list, tuple, bytes, bytearray or TokenSeq is read into a list
+    first. Each stored value is taken from the process-wide pool of prefix
+    lengths in covers (_NATURALS), so `values` holds no int objects of its
+    own. push(token) is a one-token extend that returns the new border
+    value. `link_follows` counts failure-link descents (amortized, at most
+    2n over the whole run); it is published once per extend.
     Descending the failure links is valid for every relation, because a
     border of a border is a border under any substring consistent
     equivalence relation. BorderBuilder(ScerKind.ORDER_ISO) returns an
@@ -62,6 +65,10 @@ class BorderBuilder:
         # every element of bytes or bytearray is an int in 0..255, and
         # TokenSeq checked its tokens when it was built
         check = not isinstance(tokens, (bytes, bytearray, TokenSeq))
+        if check and not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
+        # no value exceeds len(codes) + len(tokens); each comes from the pool
+        pool = _naturals(len(codes) + len(tokens) + 1)
         # -1 before the first position: codes[-1] is then the code just
         # appended, which matches itself, so the first value comes out 0
         b = values[-1] if values else -1
@@ -89,7 +96,7 @@ class BorderBuilder:
                 while b > 0 and (c if c <= b else 0) != codes[b]:
                     b = values[b - 1]
                     follows += 1
-                b = b + 1 if (c if c <= b else 0) == codes[b] else 0
+                b = pool[b + 1] if (c if c <= b else 0) == codes[b] else 0
                 values.append(b)
         finally:
             self.link_follows += follows
@@ -117,6 +124,9 @@ class _OrderIsoBorderBuilder(BorderBuilder):
         codes, lo, hi, values = self._codes, self._lo, self._hi, self.values
         last, distinct = self._last, self._distinct
         check = not isinstance(tokens, (bytes, bytearray, TokenSeq))
+        if check and not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
+        pool = _naturals(len(codes) + len(tokens) + 1)
         # -1 before the first position: lo[-1] == hi[-1] == -1 then, so the
         # first value comes out 0
         b = values[-1] if values else -1
@@ -157,7 +167,7 @@ class _OrderIsoBorderBuilder(BorderBuilder):
                         break
                     b = values[b - 1]
                     follows += 1
-                b += 1
+                b = pool[b + 1]
                 values.append(b)
         finally:
             self.link_follows += follows

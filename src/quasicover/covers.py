@@ -17,6 +17,27 @@ from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 
+# _NATURALS[k] == k, one process-wide pool of prefix lengths. The border
+# values that BorderBuilder.extend stores, the positions that the cover-array
+# extends store (and so every entry of scover, reach, lcover, longest_ls_anc
+# and dead) and the cut-path answers of left_seed_lengths are all taken from
+# it, so they share one int object per value instead of each holding its own
+# 32-byte int for every value above 256. Each extend sizes it once per chunk.
+# Growing it builds a new list and never changes a published one, so a
+# caller's list stays valid whatever another thread grows; it is never shrunk.
+_NATURALS: list[int] = []
+
+
+def _naturals(n: int) -> list[int]:
+    """The shared list of the ints 0..m - 1, for some m >= n."""
+    global _NATURALS
+    naturals = _NATURALS
+    if len(naturals) < n:
+        # an eighth extra, so that a growing text copies it O(1) times per entry
+        naturals = _NATURALS = [*naturals, *range(len(naturals), n + (n >> 3))]
+    return naturals
+
+
 @dataclass
 class ShortestCoverArray:
     """Online shortest cover array; extend() takes the border values of the
@@ -39,11 +60,16 @@ class ShortestCoverArray:
 
     def extend(self, border: Iterable[int]) -> list[int]:
         scover, reach = self.scover, self.reach
+        if not isinstance(border, (list, tuple)):
+            border = list(border)
         i = n0 = len(scover)
+        k = len(border)
+        # positions n0 + 1 .. n0 + k come from the shared pool
+        pool = _naturals(n0 + k + 1)
         prev = self._prev_border
         try:
             for b in border:
-                i += 1
+                i = pool[i + 1]
                 # prev < i - 1 here, so b <= prev + 1 implies b < i
                 if not 0 <= b <= prev + 1:
                     raise ValueError(f"invalid border value {b} at position {i}")
@@ -129,6 +155,9 @@ class LongestCoverArray:
         if not isinstance(border, (list, tuple)):
             border = list(border)
         i = n0 = len(lcover)
+        k = len(border)
+        # positions n0 + 1 .. n0 + k come from the shared pool
+        pool = _naturals(n0 + k + 1)
         prev = prev0 = self._prev_border
         # Position i vacates the prefix lengths [i - 1 - prev, i - b). Each
         # range starts where the last one ended, so one pointer walks them all.
@@ -137,11 +166,11 @@ class LongestCoverArray:
         # nodes n0 + 1 .. n0 + k start at 0; the finally cuts what is unused.
         # A tuple, not repeat(0, k): a one-value extend (push) pays about
         # 0.7 us less, and the temporary is freed before the loop.
-        children += (0,) * len(border)
-        dead += (0,) * len(border)
+        children += (0,) * k
+        dead += (0,) * k
         try:
             for b in border:
-                i += 1
+                i = pool[i + 1]
                 # prev < i - 1 here, so b <= prev + 1 implies b < i
                 if not 0 <= b <= prev + 1:
                     raise ValueError(f"invalid border value {b} at position {i}")
@@ -173,10 +202,10 @@ class LongestCoverArray:
         finally:
             del children[len(lcover) + 1:], dead[len(lcover) + 1:]
             # Each position costs one step plus the length prev + 1 - b of its
-            # range; over k positions the ranges telescope to k + prev0 - prev.
-            k = len(lcover) - n0
+            # range; over m positions the ranges telescope to m + prev0 - prev.
+            m = len(lcover) - n0
             self.while_successes += retired
-            self.op_count += 2 * k + prev0 - prev + retired
+            self.op_count += 2 * m + prev0 - prev + retired
             self._prev_border = prev
         return lcover
 
@@ -267,23 +296,6 @@ def is_primitive(sca: ShortestCoverArray, i: int) -> bool:
     if not (1 <= i <= len(sca.scover)):
         raise IndexError(f"position {i} out of range for length {len(sca.scover)}")
     return sca.scover[i - 1] == i
-
-
-# _NATURALS[k] == k. Cut-path answers are sliced from it, so they share one
-# int object per value instead of holding their own. Growing it builds a new
-# list and never changes a published one, so a caller's list stays valid
-# whatever another thread grows.
-_NATURALS: list[int] = []
-
-
-def _naturals(n: int) -> list[int]:
-    """The shared list of the ints 0..m - 1, for some m >= n."""
-    global _NATURALS
-    naturals = _NATURALS
-    if len(naturals) < n:
-        # an eighth extra, so that ascending queries copy it O(1) times per entry
-        naturals = _NATURALS = [*naturals, *range(len(naturals), n + (n >> 3))]
-    return naturals
 
 
 def left_seed_lengths(border: Sequence[int], lca: LongestCoverArray, i: int) -> list[int]:

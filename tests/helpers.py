@@ -1,9 +1,13 @@
-"""The acceptance suite's per-string checks, and texts, a left-seed walk and
-a fake input stream shared by the other tests.
+"""The acceptance suite's per-string checks, and texts, a left-seed walk, a
+Z-array reference for identity and a fake input stream shared by the other
+tests.
 
 Each check returns silently or raises AssertionError with the offending
 string; callers decide the universe to sweep.
 """
+
+from bisect import bisect_left
+from collections import Counter, defaultdict
 
 from conftest import bord_set, cov_set, lseed_set
 from quasicover.scer import equiv
@@ -121,6 +125,69 @@ def left_seeds_by_walk(border, lcover, i):
             seeds.add(k)
             k = lcover[k - 1]
     return sorted(seeds)
+
+
+def z_array(text):
+    """Z[k] is the length of the longest common prefix of text and text[k:],
+    and Z[0] = len(text) (Gusfield, Algorithms on Strings, Trees and
+    Sequences, 1997). It shares no code with the failure function."""
+    n = len(text)
+    z = [0] * n
+    if n:
+        z[0] = n
+    left = right = 0
+    for k in range(1, n):
+        if k < right:
+            z[k] = min(right - k, z[k - left])
+        while k + z[k] < n and text[z[k]] == text[k + z[k]]:
+            z[k] += 1
+        if k + z[k] > right:
+            left, right = k, k + z[k]
+    return z
+
+
+def borders_from_z(z):
+    """The identity border array: Border[i] = i - min{k >= 1 : k + Z[k] >= i},
+    which is 0 when no k < i reaches i. Scanning k upwards, the first k that
+    reaches i is that minimum."""
+    border = [0] * len(z)
+    done = 0
+    for k in range(1, len(z)):
+        for i in range(max(done, k) + 1, k + z[k] + 1):
+            border[i - 1] = i - k
+        done = max(done, k + z[k])
+    return border
+
+
+def covers_from_z(z, i):
+    """All c with T[:c] covering T[:i], ascending, from the definition.
+
+    T[:c] occurs inside T[:i] at each k <= i - c with Z[k] >= c, so start k
+    joins once c <= min(Z[k], i - k). c is a cover when no two consecutive
+    starts, with 0 first and i last, lie more than c apart. c runs down from
+    i, the starts only join, and the widest gap only shrinks.
+    """
+    joins = defaultdict(list)
+    for k in range(1, i):
+        joins[min(z[k], i - k)].append(k)
+    starts = [0, i]
+    gaps = Counter({i: 1})
+    widest = i
+    covers = []
+    for c in range(i, 0, -1):
+        for k in joins[c]:
+            j = bisect_left(starts, k)
+            a, b = starts[j - 1], starts[j]
+            gaps[b - a] -= 1
+            gaps[k - a] += 1
+            gaps[b - k] += 1
+            starts.insert(j, k)
+        while not gaps[widest]:
+            widest -= 1
+        if widest <= c:
+            covers.append(c)
+    covers.reverse()
+    return covers
 
 
 class SplitStream:

@@ -1,6 +1,7 @@
 """Cover-array algorithms: goldens, traces, invariants, oracle equivalence."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -476,6 +477,11 @@ class TestChunking:
     def objects(kind):
         return BorderBuilder(kind), ShortestCoverArray(), LongestCoverArray()
 
+    @staticmethod
+    def generated(values):
+        # a chunk with no len(), which extend reads into a list first
+        yield from values
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_extend_equals_push_and_batch(self, kind):
         for rng, text, cuts in self.chunkings(kind):
@@ -499,7 +505,19 @@ class TestChunking:
                 assert vars(x) == vars(y) == vars(z), (kind, len(text), type(x))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bad_token_mid_chunk_keeps_valid_prefix(self, kind):
+    def test_generator_chunks_equal_list_chunks(self, kind):
+        for rng, text, cuts in self.chunkings(kind):
+            listed, generated = self.objects(kind), self.objects(kind)
+            for a, e in cuts:
+                for objs, wrap in ((listed, list), (generated, self.generated)):
+                    border = objs[0].values
+                    objs[0].extend(wrap(text[a:e]))
+                    for arr in objs[1:]:
+                        arr.extend(wrap(border[a:e]))
+            for x, y in zip(listed, generated):
+                assert vars(x) == vars(y), (kind, len(text), type(x))
+
+    def check_bad_token_keeps_valid_prefix(self, kind, wrap):
         rng = random.Random(f"bad-{kind.value}")
         for bad in self.BAD_TOKENS * 8:
             text = [rng.randrange(3) for _ in range(rng.randint(0, 60))]
@@ -508,7 +526,7 @@ class TestChunking:
             builder = BorderBuilder(kind)
             builder.extend(text[:j])
             with pytest.raises(ValueError):
-                builder.extend(text[j:k] + [bad] + text[k:])
+                builder.extend(wrap(text[j:k] + [bad] + text[k:]))
             prefix = BorderBuilder(kind)
             prefix.extend(text[:k])
             assert vars(builder) == vars(prefix), (kind, bad, k)
@@ -516,7 +534,14 @@ class TestChunking:
             assert vars(builder) == vars(prefix)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bad_border_value_mid_chunk_keeps_valid_prefix(self, kind):
+    def test_bad_token_mid_chunk_keeps_valid_prefix(self, kind):
+        self.check_bad_token_keeps_valid_prefix(kind, list)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_token_in_generator_chunk_keeps_valid_prefix(self, kind):
+        self.check_bad_token_keeps_valid_prefix(kind, self.generated)
+
+    def check_bad_border_value_keeps_valid_prefix(self, kind, wrap):
         rng = random.Random(f"bad-border-{kind.value}")
         for _ in range(30):
             border = border_array([rng.randrange(2) for _ in range(rng.randint(1, 60))], kind)
@@ -529,9 +554,57 @@ class TestChunking:
                     arr = cls()
                     arr.extend(border[:j])
                     with pytest.raises(ValueError):
-                        arr.extend(border[j:k] + [value] + border[k:])
+                        arr.extend(wrap(border[j:k] + [value] + border[k:]))
                     prefix = cls()
                     prefix.extend(border[:k])
                     assert vars(arr) == vars(prefix), (cls, k, value)
                     assert arr.push(0) == prefix.push(0)
                     assert vars(arr) == vars(prefix)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_border_value_mid_chunk_keeps_valid_prefix(self, kind):
+        self.check_bad_border_value_keeps_valid_prefix(kind, list)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_border_value_in_generator_chunk_keeps_valid_prefix(self, kind):
+        self.check_bad_border_value_keeps_valid_prefix(kind, self.generated)
+
+
+class TestSharedInts:
+    """Array entries come from one shared pool of ints, so an array costs a
+    list slot per entry (8 bytes plus up to an eighth of over-allocation),
+    not a 32-byte int object of its own for every value above 256."""
+
+    N = 20_000
+    # retained bytes per token; an int object per entry would add 32 to each
+    BOUNDS = {"border": 10, "scover": 20, "lcover": 36}
+
+    @staticmethod
+    def retained(build, arg):
+        """Bytes still held by build(arg)'s result, per token of arg."""
+        build(arg)  # grows the shared pool to this length before the count
+        tracemalloc.start()
+        try:
+            result = build(arg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del result
+        return held / len(arg)
+
+    @pytest.mark.parametrize("kind", (ScerKind.IDENTITY, ScerKind.PARAMETERIZED))
+    @pytest.mark.parametrize("name", ("periodic", "random"))
+    def test_bytes_per_token(self, name, kind):
+        rng = random.Random(f"shared-{name}")
+        if name == "periodic":
+            text = (rng.choices(range(4), k=7) * self.N)[:self.N]
+        else:
+            text = rng.choices(range(4), k=self.N)
+        border = border_array(text, kind)
+        held = {
+            "border": self.retained(lambda t: border_array(t, kind), text),
+            "scover": self.retained(shortest_cover_array, border),
+            "lcover": self.retained(longest_cover_array, border),
+        }
+        for array, bound in self.BOUNDS.items():
+            assert held[array] <= bound, (array, held)

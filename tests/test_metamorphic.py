@@ -7,7 +7,9 @@ Two implementations of one array agree: the CLI's stream with the batch
 functions, whatever the input's chunk sizes, and Li and Smyth's descending
 longest-cover loop with the ascending one, a chunked longest-cover build
 with the one-shot build, and both left-seed paths with a walk over the
-cover tree. Every cover is a border or the whole text.
+cover tree. Every cover is a border or the whole text. For identity, the
+border array, and at sampled positions the cover set, equal those read off
+the Z-array, an algorithm that shares nothing with the failure function.
 """
 
 import random
@@ -18,7 +20,15 @@ from collections import Counter
 
 import pytest
 
-from helpers import SplitStream, fibonacci, left_seeds_by_walk
+from conftest import cov_set, strings
+from helpers import (
+    SplitStream,
+    borders_from_z,
+    covers_from_z,
+    fibonacci,
+    left_seeds_by_walk,
+    z_array,
+)
 from quasicover.border import border_array
 from quasicover.cli import main
 from quasicover.covers import (
@@ -29,6 +39,7 @@ from quasicover.covers import (
     longest_cover_array_li_smyth,
     shortest_cover_array,
 )
+from quasicover.oracle import brute_border_array
 from quasicover.scer import ScerKind
 
 N = 10_000
@@ -92,6 +103,37 @@ def test_identity_borders_are_shortest(name):
     for kind in (ScerKind.PARAMETERIZED, ScerKind.ORDER_ISO):
         b = border_array(text, kind)
         assert all(x <= y for x, y in zip(b_id, b)), kind
+
+
+def test_z_reference_matches_oracle():
+    for s in (*strings(8, 2), *strings(5, 3)):
+        z = z_array(s)
+        assert borders_from_z(z) == brute_border_array(s, ScerKind.IDENTITY), s
+        for i in range(1, len(s) + 1):
+            assert covers_from_z(z, i) == sorted(cov_set(s[:i], ScerKind.IDENTITY)), (s, i)
+
+
+Z_TEXTS = {
+    "periodic": (random.Random(7).choices(range(3), k=7) * N)[:N],
+    "fibonacci": TEXTS["fibonacci"],
+    "random4": TEXTS["random4"],
+    "random200": random.Random(200).choices(range(200), k=N),
+}
+
+
+@pytest.mark.parametrize("name", Z_TEXTS)
+def test_identity_arrays_equal_z_reference(name):
+    text = Z_TEXTS[name]
+    z = z_array(text)
+    border = border_array(text, ScerKind.IDENTITY)
+    assert border == borders_from_z(z)
+    scover = shortest_cover_array(border).scover
+    lca = longest_cover_array(border)
+    for i in [N] + random.Random(8).sample(range(1, N), 20):
+        covers = covers_from_z(z, i)
+        assert all_cover_lengths(lca, i) == covers, (name, i)
+        assert scover[i - 1] == covers[0], (name, i)
+        assert lca.lcover[i - 1] == (covers[-2] if len(covers) > 1 else 0), (name, i)
 
 
 def random_pieces(data, rng):
