@@ -40,13 +40,14 @@ class BorderBuilder:
         # identity and param loop free of its test. Binding it on the instance
         # instead would make every builder a reference cycle, which only a
         # full garbage collection frees. kind defaults because copy and
-        # pickle call __new__ with the class alone.
-        if kind is ScerKind.ORDER_ISO:
+        # pickle call __new__ with the class alone. ScerKind(kind) maps a value
+        # string to its member and raises ValueError on anything else.
+        if kind is not None and ScerKind(kind) is ScerKind.ORDER_ISO:
             cls = _OrderIsoBorderBuilder
         return super().__new__(cls)
 
-    def __init__(self, kind: ScerKind):
-        self.kind = kind
+    def __init__(self, kind: ScerKind | str):
+        self.kind = ScerKind(kind)
         self.values: list[int] = []
         self.link_follows = 0
         # One code per position: param stores the prev distance, which window
@@ -114,7 +115,7 @@ class _OrderIsoBorderBuilder(BorderBuilder):
     into a sorted list, O(sigma).
     """
 
-    def __init__(self, kind: ScerKind):
+    def __init__(self, kind: ScerKind | str):
         super().__init__(kind)
         self._lo: list[int] = []
         self._hi: list[int] = []
@@ -174,7 +175,7 @@ class _OrderIsoBorderBuilder(BorderBuilder):
         return values
 
 
-def border_array_generic(text: Sequence[int], kind: ScerKind) -> list[int]:
+def border_array_generic(text: Sequence[int], kind: ScerKind | str) -> list[int]:
     """Quadratic border-array builder valid for any of the relations.
 
     Candidates at position i descend one by one from values[i-1] + 1; the
@@ -183,6 +184,7 @@ def border_array_generic(text: Sequence[int], kind: ScerKind) -> list[int]:
     every relation, at O(n^2) cost per equivalence check. It shares no
     code with BorderBuilder, which makes it an independent cross-check.
     """
+    kind = ScerKind(kind)
     t = tuple(TokenSeq(text))  # validated once; slices below are plain tuples
     values: list[int] = []
     for i in range(1, len(t) + 1):
@@ -195,7 +197,7 @@ def border_array_generic(text: Sequence[int], kind: ScerKind) -> list[int]:
     return values
 
 
-def border_array(text: Sequence[int], kind: ScerKind) -> list[int]:
+def border_array(text: Sequence[int], kind: ScerKind | str) -> list[int]:
     """Border array of `text` under `kind`, from the online builder."""
     return BorderBuilder(kind).extend(text)
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Reads a byte or token text, picks an equivalence relation, and emits any
-subset of {border, scover, lcover, covers, lseeds} as TSV or JSON. With
---stream, one row per prefix is emitted for any of the three relations,
-as the input arrives: each decoded chunk goes through one extend() of each
-stage, and its rows are formatted from the arrays, written and flushed
+subset of {border, scover, lcover, covers, lseeds} as TSV or JSON. Every
+mode but --oracle runs one stage loop: each decoded chunk goes through one
+extend() of the border stage and of each cover array the requested arrays
+need. Batch writes the arrays after the last chunk. With --stream, one row
+per prefix is emitted for any of the three relations, as the input
+arrives: a chunk's rows are formatted from the arrays, written and flushed
 before the next read waits. A bad token ends the stream with exit code 2,
 after the rows for the tokens before it.
 
@@ -17,7 +19,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from . import border as border_mod
 from . import covers as covers_mod
@@ -37,7 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scer", choices=[k.value for k in ScerKind], default="identity",
                    help="equivalence relation (default: identity)")
     p.add_argument("--arrays", default="border,scover,lcover",
-                   help="comma-separated subset of " + ",".join(ARRAY_NAMES))
+                   help="comma-separated subset of " + ",".join(ARRAY_NAMES) + "; covers and "
+                   "lseeds are of the whole text, or of each row's prefix with --stream, where "
+                   "row i's covers is i plus the covers of row lcover[i-1]")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--input-mode", choices=["bytes", "tokens"], default="bytes",
                    help="bytes: each byte is a token; tokens: whitespace-separated integers")
@@ -121,34 +125,14 @@ def _compute_oracle(chunks: Iterator[Sequence[int]], kind: ScerKind,
     return n, out
 
 
-def _compute_batch(border: list[int], arrays: list[str]) -> tuple[int, dict[str, list[int]]]:
-    """n and the requested arrays, from a border array."""
-    n = len(border)
-    out: dict[str, list[int]] = {}
-    if "border" in arrays:
-        out["border"] = border
-    if "scover" in arrays:
-        out["scover"] = covers_mod.shortest_cover_array(border).scover
-    if any(a in arrays for a in ("lcover", "covers", "lseeds")):
-        lca = covers_mod.longest_cover_array(border)
-        if "lcover" in arrays:
-            out["lcover"] = lca.lcover
-        if "covers" in arrays:
-            out["covers"] = covers_mod.all_cover_lengths(lca, n) if n else []
-        if "lseeds" in arrays:
-            out["lseeds"] = covers_mod.left_seed_lengths(border, lca, n) if n else []
-    return n, out
-
-
-def _emit_batch(result: dict[str, list[int]], arrays: list[str], fmt: str,
-                n: int, scer: str, out) -> None:
+def _emit_batch(n: int, result: dict[str, list[int]], arrays: list[str], fmt: str,
+                scer: str, out) -> None:
     if fmt == "json":
         import json
 
-        payload = {"n": n, "scer": scer}
-        payload.update({name: result[name] for name in arrays})
-        json.dump(payload, out)
-        out.write("\n")
+        payload = {"n": n, "scer": scer, **{name: result[name] for name in arrays}}
+        # dumps, not dump: dump streams through the pure-Python encoder
+        out.write(json.dumps(payload) + "\n")
         return
     # every value is in 0..n, so each cell is looked up, not formatted again
     table = list(map(str, range(n + 1)))
@@ -157,42 +141,54 @@ def _emit_batch(result: dict[str, list[int]], arrays: list[str], fmt: str,
         out.write("\t".join([name, *map(table.__getitem__, result[name])]) + "\n")
 
 
-def _stream(chunks: Iterator[Sequence[int]], kind: ScerKind, arrays: list[str], fmt: str,
-            out) -> None:
-    builder = border_mod.BorderBuilder(kind)
-    sc = covers_mod.ShortestCoverArray()
-    lc = covers_mod.LongestCoverArray()
-    border, scover, lcover = builder.values, sc.scover, lc.lcover
+def _run(chunks: Iterable[Sequence[int]], border: list[int],
+         extend_border: Callable[[Sequence[int]], object], arrays: list[str], fmt: str,
+         stream: bool, out) -> tuple[int, dict[str, list[int]]] | None:
+    """The stages of every mode but --oracle.
+
+    Per chunk: one extend_border, which grows `border`, then one extend of
+    each cover array that `arrays` needs. The cover arrays run in a finally,
+    so when extend_border stops on a bad value the values before it go
+    through. --stream then writes and flushes the chunk's rows. Batch gets
+    n and the requested arrays back, to write once the stages are freed.
+    """
+    sc, lc = covers_mod.ShortestCoverArray(), covers_mod.LongestCoverArray()
+    # a stage that no requested array needs is skipped
+    stages = [stage.extend for stage, needs in ((sc, {"scover"}),
+                                                (lc, {"lcover", "covers", "lseeds"}))
+              if needs.intersection(arrays)]
+    # the per-prefix arrays, and the queries answered for one prefix length i
+    columns = {"border": border, "scover": sc.scover, "lcover": lc.lcover}
+    queries = {"covers": lambda i: covers_mod.all_cover_lengths(lc, i),
+               "lseeds": lambda i: covers_mod.left_seed_lengths(border, lc, i)}
+    names = list(dict.fromkeys(arrays))
     if fmt == "json":
         import json
-        keys = ["i", *arrays]
-    else:
+    elif stream:
         out.write("i\t" + "\t".join(arrays) + "\n")
     for chunk in chunks:
         i0 = len(border)
         try:
-            builder.extend(chunk)
+            extend_border(chunk)
         finally:
-            # a bad token stops extend; the rows for the tokens before it go out
-            sc.extend(border[i0:])
-            lc.extend(border[i0:])
-            for i in range(i0 + 1, len(border) + 1):
-                row = {"i": i, "border": border[i - 1], "scover": scover[i - 1],
-                       "lcover": lcover[i - 1]}
-                if "covers" in arrays:
-                    row["covers"] = covers_mod.all_cover_lengths(lc, i)
-                if "lseeds" in arrays:
-                    row["lseeds"] = covers_mod.left_seed_lengths(border, lc, i)
-                if fmt == "json":
-                    out.write(json.dumps({key: row[key] for key in keys}) + "\n")
-                else:
-                    cells = [str(i)]
-                    for name in arrays:
-                        v = row[name]
-                        cells.append(",".join(map(str, v)) if isinstance(v, list) else str(v))
-                    out.write("\t".join(cells) + "\n")
-            # Every row for the bytes read so far is out before the next read waits.
-            out.flush()
+            new = border[i0:]
+            for extend in stages:
+                extend(new)
+            if stream:
+                for i in range(i0 + 1, len(border) + 1):
+                    row = {name: columns[name][i - 1] if name in columns else queries[name](i)
+                           for name in names}
+                    if fmt == "json":
+                        out.write(json.dumps({"i": i, **row}) + "\n")
+                    else:
+                        cells = [",".join(map(str, v)) if isinstance(v, list) else str(v)
+                                 for v in map(row.__getitem__, arrays)]
+                        out.write(str(i) + "\t" + "\t".join(cells) + "\n")
+                # Every row for the bytes read so far is out before the next read waits.
+                out.flush()
+    n = len(border)
+    return None if stream else (n, {name: columns[name] if name in columns else
+                                    queries[name](n) if n else [] for name in names})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -210,22 +206,21 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if args.border_file is not None:
-            n, result = _compute_batch(border_mod.read_border_file(args.border_file), arrays)
+            border: list[int] = []
+            batch = _run([border_mod.read_border_file(args.border_file)], border, border.extend,
+                         arrays, args.format, False, sys.stdout)
         else:
             with _open_input(args.input) as stream:
                 chunks = read_chunks(stream, args.input_mode)
-                if args.stream:
-                    _stream(chunks, kind, arrays, args.format, sys.stdout)
-                elif args.oracle:
-                    n, result = _compute_oracle(chunks, kind, arrays)
+                if args.oracle:
+                    batch = _compute_oracle(chunks, kind, arrays)
                 else:
                     # extend checks each token of a token chunk; a bytes chunk needs none
                     builder = border_mod.BorderBuilder(kind)
-                    for chunk in chunks:
-                        builder.extend(chunk)
-                    n, result = _compute_batch(builder.values, arrays)
-        if not args.stream:
-            _emit_batch(result, arrays, args.format, n, kind.value, sys.stdout)
+                    batch = _run(chunks, builder.values, builder.extend, arrays, args.format,
+                                 args.stream, sys.stdout)
+        if batch is not None:
+            _emit_batch(*batch, arrays, args.format, kind.value, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout; point it at devnull so that the

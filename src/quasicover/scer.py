@@ -95,12 +95,13 @@ def _param_equiv(x: Sequence[int], y: Sequence[int]) -> bool:
     return True
 
 
-def equiv(x: Sequence[int], y: Sequence[int], kind: ScerKind) -> bool:
-    """True iff x and y are equivalent under `kind`. Length mismatch is False."""
-    if len(x) != len(y):
-        return False
+def equiv(x: Sequence[int], y: Sequence[int], kind: ScerKind | str) -> bool:
+    """True iff x and y are equivalent under `kind`, a ScerKind or its value
+    string (anything else raises ValueError). Length mismatch is False."""
     if kind is ScerKind.IDENTITY:
-        return tuple(x) == tuple(y)
+        return len(x) == len(y) and tuple(x) == tuple(y)
     if kind is ScerKind.PARAMETERIZED:
-        return _param_equiv(x, y)
-    return rank_signature(x) == rank_signature(y)
+        return len(x) == len(y) and _param_equiv(x, y)
+    if kind is ScerKind.ORDER_ISO:
+        return len(x) == len(y) and rank_signature(x) == rank_signature(y)
+    return equiv(x, y, ScerKind(kind))

@@ -16,8 +16,14 @@ import pytest
 import quasicover
 from conftest import TABLE1_BORDER, TABLE1_LCOVER, TABLE1_SCOVER
 from helpers import SplitStream
-from quasicover.border import border_array
-from quasicover.cli import ARRAY_NAMES, _compute_batch, _stream, main, read_chunks
+from quasicover.border import BorderBuilder, border_array
+from quasicover.cli import ARRAY_NAMES, _run, main, read_chunks
+from quasicover.covers import (
+    all_cover_lengths,
+    left_seed_lengths,
+    longest_cover_array,
+    shortest_cover_array,
+)
 from quasicover.scer import ScerKind
 
 EXAMPLE = "abaababaabaababa"
@@ -107,7 +113,10 @@ class TestBatchTsv:
         path.write_text(text)
         assert main(["--arrays", ",".join(ARRAY_NAMES), str(path)]) == 0
         border = border_array(text.encode(), ScerKind.IDENTITY)
-        _, result = _compute_batch(border, list(ARRAY_NAMES))
+        lca = longest_cover_array(border)
+        result = {"border": border, "scover": shortest_cover_array(border).scover,
+                  "lcover": lca.lcover, "covers": all_cover_lengths(lca, n) if n else [],
+                  "lseeds": left_seed_lengths(border, lca, n) if n else []}
         lines = ["\t".join(["i"] + [str(i) for i in range(1, n + 1)])]
         lines += ["\t".join([name] + [str(v) for v in result[name]]) for name in ARRAY_NAMES]
         assert capsysbinary.readouterr().out == ("\n".join(lines) + "\n").encode()
@@ -230,6 +239,16 @@ class TestBorderFile:
         assert [int(v) for v in rows["scover"]] == TABLE1_SCOVER
         assert [int(v) for v in rows["lcover"]] == TABLE1_LCOVER
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("scer", ["identity", "param", "op"])
+    def test_output_equals_text_input(self, capsys, tmp_path, example_file, scer, fmt):
+        path = tmp_path / "border.txt"
+        path.write_text("".join(f"{v}\n" for v in border_array(EXAMPLE.encode(), scer)))
+        argv = ["--scer", scer, "--format", fmt, "--arrays", ",".join(ARRAY_NAMES)]
+        from_text = run_cli(capsys, argv + [example_file])
+        assert from_text[0] == 0
+        assert run_cli(capsys, argv + ["--border-file", str(path)]) == from_text
+
     def test_missing_border_file_exit_1(self, tmp_path):
         proc = run_module(["--border-file", str(tmp_path / "nope.txt")])
         assert proc.returncode == 1
@@ -304,6 +323,38 @@ class TestStreaming:
                     assert rows[i - 1]["covers"] == batch["covers"], (scer, alphabet, i)
                     assert rows[i - 1]["lseeds"] == batch["lseeds"], (scer, alphabet, i)
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("scer", ["identity", "param", "op"])
+    @pytest.mark.parametrize("name", ARRAY_NAMES)
+    def test_single_array_rows_equal_batch_per_prefix(self, capsys, tmp_path, name, scer, fmt):
+        # a stage that no requested array needs is skipped in both modes
+        def values(line):
+            cells = line.split("\t")[1:]
+            return [int(v) for c in cells for v in c.split(",")]
+
+        text = EXAMPLE[:7] + "abcab" + EXAMPLE[7:]
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        argv = ["--scer", scer, "--format", fmt, "--arrays", name]
+        code, out, err = run_cli(capsys, argv + ["--stream", str(path)])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        if fmt == "json":
+            rows = [json.loads(line) for line in lines]
+            assert all(list(row) == ["i", name] for row in rows)
+            rows = [row[name] if isinstance(row[name], list) else [row[name]] for row in rows]
+        else:
+            assert lines[0] == f"i\t{name}"
+            rows = [values(line) for line in lines[1:]]
+        assert len(rows) == len(text)
+        for i, row in enumerate(rows, start=1):
+            path.write_text(text[:i])
+            code, out, _ = run_cli(capsys, argv + [str(path)])
+            assert code == 0
+            batch = json.loads(out)[name] if fmt == "json" else values(out.splitlines()[1])
+            # a per-prefix array's row i is the last entry of the batch over T[:i]
+            assert row == (batch if name in ("covers", "lseeds") else batch[-1:]), i
+
     def test_stream_order_iso_exit_0(self, capsys, example_file):
         code, out, err = run_cli(capsys, ["--scer", "op", example_file])
         assert code == 0
@@ -366,7 +417,9 @@ class TestStreaming:
             a, b = b, b + a
         tracemalloc.start()
         try:
-            _stream(iter([bytes(b[:500])]), ScerKind.IDENTITY, ["covers", "lseeds"], fmt, Sink())
+            builder = BorderBuilder(ScerKind.IDENTITY)
+            _run(iter([bytes(b[:500])]), builder.values, builder.extend, ["covers", "lseeds"], fmt,
+                 True, Sink())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

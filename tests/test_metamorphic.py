@@ -10,6 +10,8 @@ with the one-shot build, and both left-seed paths with a walk over the
 cover tree. Every cover is a border or the whole text. For identity, the
 border array, and at sampled positions the cover set, equal those read off
 the Z-array, an algorithm that shares nothing with the failure function.
+For param and op on random text, the border array equals the quadratic
+generic builder's, which shares nothing with the failure function either.
 """
 
 import random
@@ -29,7 +31,7 @@ from helpers import (
     left_seeds_by_walk,
     z_array,
 )
-from quasicover.border import border_array
+from quasicover.border import border_array, border_array_generic
 from quasicover.cli import main
 from quasicover.covers import (
     LongestCoverArray,
@@ -134,6 +136,14 @@ def test_identity_arrays_equal_z_reference(name):
         assert all_cover_lengths(lca, i) == covers, (name, i)
         assert scover[i - 1] == covers[0], (name, i)
         assert lca.lcover[i - 1] == (covers[-2] if len(covers) > 1 else 0), (name, i)
+
+
+@pytest.mark.parametrize("kind", [ScerKind.PARAMETERIZED, ScerKind.ORDER_ISO])
+@pytest.mark.parametrize("name", ["random4", "random200"])
+def test_border_array_equals_generic(name, kind):
+    # borders of random text stay short, so the quadratic builder is cheap here
+    text = Z_TEXTS[name]
+    assert border_array(text, kind) == border_array_generic(text, kind)
 
 
 def random_pieces(data, rng):

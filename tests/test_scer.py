@@ -158,3 +158,31 @@ class TestScerLaws:
     def test_reflexive(self, kind):
         for s in strings(self.MAX_LEN_PAIRS, 3):
             assert equiv(s, s, kind)
+
+
+class TestValueStrings:
+    # the three relations give three different border arrays here
+    TEXT = (0, 1, 0, 2, 0, 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_string_is_the_member(self, kind):
+        assert BorderBuilder(kind.value).kind is kind
+        assert border_array(self.TEXT, kind.value) == border_array(self.TEXT, kind)
+        assert border_array_generic(self.TEXT, kind.value) == border_array_generic(self.TEXT, kind)
+        for x in strings(4, 3):
+            for y in strings(len(x), 3, min_len=len(x)):
+                assert equiv(x, y, kind.value) == equiv(x, y, kind), (x, y)
+
+    def test_relations_differ_on_text(self):
+        assert len({tuple(border_array(self.TEXT, kind)) for kind in KINDS}) == 3
+
+    @pytest.mark.parametrize("call", [
+        lambda t: BorderBuilder("nope"),
+        lambda t: border_array(t, "nope"),
+        lambda t: border_array_generic(t, "nope"),
+        lambda t: equiv(t, t, "nope"),
+        lambda t: equiv(t, t[1:], "nope"),
+    ], ids=["BorderBuilder", "border_array", "border_array_generic", "equiv", "equiv_unequal_lengths"])
+    def test_unknown_relation_raises(self, call):
+        with pytest.raises(ValueError, match="nope"):
+            call(self.TEXT)
