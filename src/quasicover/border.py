@@ -4,8 +4,9 @@ A border array maps each prefix length i to the length of the longest
 proper border of T[:i] under the chosen relation. All three relations get
 one online failure-function builder, `BorderBuilder`, in amortized linear
 time (order-isomorphism pays an extra O(sigma) list insert for each new
-distinct value). The quadratic generic builder, which only needs the
-equivalence predicate, is kept as an independent cross-check.
+distinct value); its one `extend` runs one of two loops, chosen by the
+relation. The quadratic generic builder, which only needs the equivalence
+predicate, is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -31,23 +32,24 @@ class BorderBuilder:
     2n over the whole run); it is published once per extend.
     Descending the failure links is valid for every relation, because a
     border of a border is a border under any substring consistent
-    equivalence relation. BorderBuilder(ScerKind.ORDER_ISO) returns an
-    _OrderIsoBorderBuilder, whose extend compares nearest-neighbour codes.
-    """
+    equivalence relation.
 
-    def __new__(cls, kind: ScerKind | None = None):
-        # Choosing the order-isomorphism extend here, once, keeps the
-        # identity and param loop free of its test. Binding it on the instance
-        # instead would make every builder a reference cycle, which only a
-        # full garbage collection frees. kind defaults because copy and
-        # pickle call __new__ with the class alone. ScerKind(kind) maps a value
-        # string to its member and raises ValueError on anything else.
-        if kind is not None and ScerKind(kind) is ScerKind.ORDER_ISO:
-            cls = _OrderIsoBorderBuilder
-        return super().__new__(cls)
+    The relation is fixed when the builder is made, and it chooses the loop
+    that extend runs. Identity and param compare one code per position.
+    Order-isomorphism compares nearest-neighbour codes (Kim et al.,
+    "Order-preserving matching", TCS 525, 2014), with an equality case for
+    ties, which that paper excludes: position j stores in lo[j] and hi[j]
+    the last indices in T[:j] of the largest value <= T[j] and of the
+    smallest value >= T[j], or -1 where there is none. Each new distinct
+    value costs one insert into a sorted list, O(sigma).
+    """
 
     def __init__(self, kind: ScerKind | str):
         self.kind = ScerKind(kind)
+        # read once here: a ScerKind member lookup costs about ten attribute
+        # reads, and push pays extend's fixed cost on every token
+        self._param = self.kind is ScerKind.PARAMETERIZED
+        self._op = self.kind is ScerKind.ORDER_ISO
         self.values: list[int] = []
         self.link_follows = 0
         # One code per position: param stores the prev distance, which window
@@ -56,13 +58,15 @@ class BorderBuilder:
         # stores the token itself.
         self._codes: list[int] = []
         self._last: dict[int, int] = {}
+        self._lo: list[int] = []
+        self._hi: list[int] = []
+        self._distinct: list[int] = []  # sorted distinct tokens seen (op)
 
     def push(self, token: int) -> int:
         return self.extend((token,))[-1]
 
     def extend(self, tokens: Iterable[int]) -> list[int]:
         codes, values, last = self._codes, self.values, self._last
-        param = self.kind is ScerKind.PARAMETERIZED
         # every element of bytes or bytearray is an int in 0..255, and
         # TokenSeq checked its tokens when it was built
         check = not isinstance(tokens, (bytes, bytearray, TokenSeq))
@@ -71,105 +75,77 @@ class BorderBuilder:
         # no value exceeds len(codes) + len(tokens); each comes from the pool
         pool = _naturals(len(codes) + len(tokens) + 1)
         # -1 before the first position: codes[-1] is then the code just
-        # appended, which matches itself, so the first value comes out 0
+        # appended, which matches itself, and op's lo[-1] == hi[-1] == -1, so
+        # the first value comes out 0
         b = values[-1] if values else -1
         follows = 0
         try:
-            for i, token in enumerate(tokens, len(codes)):
-                if check:
-                    # ~token is negative exactly when token is a non-negative
-                    # int; a TypeError (not an int) is rejected like a
-                    # negative token. The op extend checks the same.
-                    try:
+            if not self._op:
+                param = self._param
+                for i, token in enumerate(tokens, len(codes)):
+                    if check:
+                        # ~token is negative exactly when token is a non-negative
+                        # int; a TypeError (not an int) is rejected like a
+                        # negative token
+                        try:
+                            c = ~token
+                        except TypeError:
+                            c = 0
+                        if c >= 0:
+                            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
+                    elif not param:
                         c = ~token
-                    except TypeError:
-                        c = 0
-                    if c >= 0:
-                        raise ValueError(f"tokens must be non-negative integers, got {token!r}")
-                elif not param:
-                    c = ~token
-                if param:
+                    if param:
+                        j = last.get(token)
+                        c = 0 if j is None else i - j
+                        last[token] = i
+                    codes.append(c)
+                    # codes[b] needs no clipping: every prev distance is <= its index
+                    while b > 0 and (c if c <= b else 0) != codes[b]:
+                        b = values[b - 1]
+                        follows += 1
+                    b = pool[b + 1] if (c if c <= b else 0) == codes[b] else 0
+                    values.append(b)
+            else:
+                lo, hi, distinct = self._lo, self._hi, self._distinct
+                for i, token in enumerate(tokens, len(codes)):
+                    if check:
+                        # the same test as above, inline: a per-token helper call costs more
+                        try:
+                            c = ~token
+                        except TypeError:
+                            c = 0
+                        if c >= 0:
+                            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
                     j = last.get(token)
-                    c = 0 if j is None else i - j
+                    if j is None:
+                        k = bisect_left(distinct, token)
+                        lo.append(last[distinct[k - 1]] if k else -1)
+                        hi.append(last[distinct[k]] if k < len(distinct) else -1)
+                        distinct.insert(k, token)
+                    else:
+                        lo.append(j)
+                        hi.append(j)
                     last[token] = i
-                codes.append(c)
-                # codes[b] needs no clipping: every prev distance is <= its index
-                while b > 0 and (c if c <= b else 0) != codes[b]:
-                    b = values[b - 1]
-                    follows += 1
-                b = pool[b + 1] if (c if c <= b else 0) == codes[b] else 0
-                values.append(b)
-        finally:
-            self.link_follows += follows
-        return values
-
-
-class _OrderIsoBorderBuilder(BorderBuilder):
-    """BorderBuilder for order-isomorphism.
-
-    Compares nearest-neighbour codes (Kim et al., "Order-preserving
-    matching", TCS 525, 2014), with an equality case for ties, which that
-    paper excludes: position j stores in lo[j] and hi[j] the last indices in
-    T[:j] of the largest value <= T[j] and of the smallest value >= T[j],
-    or -1 where there is none. Each new distinct value costs one insert
-    into a sorted list, O(sigma).
-    """
-
-    def __init__(self, kind: ScerKind | str):
-        super().__init__(kind)
-        self._lo: list[int] = []
-        self._hi: list[int] = []
-        self._distinct: list[int] = []  # sorted distinct tokens seen
-
-    def extend(self, tokens: Iterable[int]) -> list[int]:
-        codes, lo, hi, values = self._codes, self._lo, self._hi, self.values
-        last, distinct = self._last, self._distinct
-        check = not isinstance(tokens, (bytes, bytearray, TokenSeq))
-        if check and not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        pool = _naturals(len(codes) + len(tokens) + 1)
-        # -1 before the first position: lo[-1] == hi[-1] == -1 then, so the
-        # first value comes out 0
-        b = values[-1] if values else -1
-        follows = 0
-        try:
-            for i, token in enumerate(tokens, len(codes)):
-                if check:
-                    try:
-                        c = ~token
-                    except TypeError:
-                        c = 0
-                    if c >= 0:
-                        raise ValueError(f"tokens must be non-negative integers, got {token!r}")
-                j = last.get(token)
-                if j is None:
-                    k = bisect_left(distinct, token)
-                    lo.append(last[distinct[k - 1]] if k else -1)
-                    hi.append(last[distinct[k]] if k < len(distinct) else -1)
-                    distinct.insert(k, token)
-                else:
-                    lo.append(j)
-                    hi.append(j)
-                last[token] = i
-                codes.append(token)
-                # T[:b] matches the window T[i-b:i]; it extends by T[i] when
-                # T[i] relates to the window images of b's neighbours as T[b]
-                # does to the neighbours. b = 0 always extends (lo[0] == hi[0]
-                # == -1), so the loop needs no b > 0 test.
-                while True:
-                    w = i - b
-                    lo_b = lo[b]
-                    hi_b = hi[b]
-                    if lo_b == hi_b:
-                        if lo_b < 0 or codes[w + lo_b] == token:
+                    codes.append(token)
+                    # T[:b] matches the window T[i-b:i]; it extends by T[i] when
+                    # T[i] relates to the window images of b's neighbours as T[b]
+                    # does to the neighbours. b = 0 always extends (lo[0] == hi[0]
+                    # == -1), so the loop needs no b > 0 test.
+                    while True:
+                        w = i - b
+                        lo_b = lo[b]
+                        hi_b = hi[b]
+                        if lo_b == hi_b:
+                            if lo_b < 0 or codes[w + lo_b] == token:
+                                break
+                        elif (lo_b < 0 or codes[w + lo_b] < token) and (
+                                hi_b < 0 or token < codes[w + hi_b]):
                             break
-                    elif (lo_b < 0 or codes[w + lo_b] < token) and (
-                            hi_b < 0 or token < codes[w + hi_b]):
-                        break
-                    b = values[b - 1]
-                    follows += 1
-                b = pool[b + 1]
-                values.append(b)
+                        b = values[b - 1]
+                        follows += 1
+                    b = pool[b + 1]
+                    values.append(b)
         finally:
             self.link_follows += follows
         return values

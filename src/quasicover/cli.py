@@ -198,7 +198,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: --arrays must be a non-empty subset of {','.join(ARRAY_NAMES)}",
               file=sys.stderr)
         return 2
-    kind = ScerKind.parse(args.scer)
+    kind = ScerKind(args.scer)  # argparse choices admit only the values
 
     if args.border_file is not None and args.input != "-":
         print("error: --border-file replaces INPUT; drop one of them", file=sys.stderr)

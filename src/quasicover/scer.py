@@ -22,10 +22,11 @@ class ScerKind(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "ScerKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown equivalence relation {name!r}")
+        """ScerKind(name), with a message that names the relation."""
+        try:
+            return cls(name)
+        except ValueError:
+            raise ValueError(f"unknown equivalence relation {name!r}") from None
 
 
 class TokenSeq(tuple):

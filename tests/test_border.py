@@ -2,6 +2,7 @@
 Acceptance criterion 4 checks both builders against the oracle."""
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -135,6 +136,21 @@ class TestBuilder:
         builder.extend(EXAMPLE_TEXT[7:])
         assert twin.extend(EXAMPLE_TEXT[7:]) == builder.values == border_array(EXAMPLE_TEXT, kind)
         assert twin.link_follows == builder.link_follows
+
+    @pytest.mark.parametrize("kind", KINDS + tuple(k.value for k in KINDS))
+    def test_one_class_pickles_and_continues(self, kind):
+        assert type(BorderBuilder(kind)) is BorderBuilder
+        rng = random.Random(37)
+        text = [rng.randrange(5) for _ in range(200)]
+        builder = BorderBuilder(kind)
+        builder.extend(text[:37])
+        twin = pickle.loads(pickle.dumps(builder))
+        assert type(twin) is BorderBuilder
+        builder.extend(text[37:])
+        twin.extend(text[37:])
+        whole = BorderBuilder(kind)
+        whole.extend(text)
+        assert vars(twin) == vars(builder) == vars(whole)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_amortized_descents(self, kind):

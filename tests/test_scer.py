@@ -176,6 +176,12 @@ class TestValueStrings:
     def test_relations_differ_on_text(self):
         assert len({tuple(border_array(self.TEXT, kind)) for kind in KINDS}) == 3
 
+    def test_parse_is_the_constructor(self):
+        for kind in KINDS:
+            assert ScerKind.parse(kind.value) is ScerKind(kind.value) is kind
+        with pytest.raises(ValueError, match="unknown equivalence relation 'nope'"):
+            ScerKind.parse("nope")
+
     @pytest.mark.parametrize("call", [
         lambda t: BorderBuilder("nope"),
         lambda t: border_array(t, "nope"),
