@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .covers import _naturals, validate_border_array
+from .covers import _naturals
 from .scer import ScerKind, TokenSeq, equiv
 
 
@@ -177,18 +177,3 @@ def border_array(text: Sequence[int], kind: ScerKind | str) -> list[int]:
     """Border array of `text` under `kind`, from the online builder."""
     return BorderBuilder(kind).extend(text)
 
-
-def read_border_file(path: str) -> list[int]:
-    """Parse a border array file: one integer per line, line i = Border[i]."""
-    values: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not an integer: {line!r}") from None
-    validate_border_array(values)
-    return values

@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Reads a byte or token text, picks an equivalence relation, and emits any
-subset of {border, scover, lcover, covers, lseeds} as TSV or JSON. Every
-mode but --oracle runs one stage loop: each decoded chunk goes through one
-extend() of the border stage and of each cover array the requested arrays
-need. Batch writes the arrays after the last chunk. With --stream, one row
-per prefix is emitted for any of the three relations, as the input
-arrives: a chunk's rows are formatted from the arrays, written and flushed
-before the next read waits. A bad token ends the stream with exit code 2,
-after the rows for the tokens before it.
+Reads a byte or token text, or a border array (--border-file, read as
+tokens), picks an equivalence relation, and emits any subset of {border,
+scover, lcover, covers, lseeds} as TSV or JSON. Every mode but --oracle
+runs one stage loop: each decoded chunk goes through one extend() of the
+border stage and of each cover array the requested arrays need. Batch
+writes the arrays after the last chunk. With --stream, one row per prefix
+is emitted for any of the three relations, as the input arrives: a
+chunk's rows are formatted from the arrays, written and flushed before the
+next read waits. A bad token ends the stream with exit code 2, after the
+rows for the tokens before it.
 
 Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 """
@@ -19,7 +20,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from . import border as border_mod
 from . import covers as covers_mod
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each picks its own way to get the arrays in main, so at most one is given
     g = p.add_mutually_exclusive_group()
     g.add_argument("--border-file", default=None,
-                   help="use a precomputed border array (one integer per line) instead of the text")
+                   help="a border array to use instead of the text: whitespace-separated integers")
     g.add_argument("--oracle", action="store_true",
                    help="compute everything with the brute-force reference implementations")
     g.add_argument("--stream", action="store_true",
@@ -141,20 +142,24 @@ def _emit_batch(n: int, result: dict[str, list[int]], arrays: list[str], fmt: st
         out.write("\t".join([name, *map(table.__getitem__, result[name])]) + "\n")
 
 
-def _run(chunks: Iterable[Sequence[int]], border: list[int],
-         extend_border: Callable[[Sequence[int]], object], arrays: list[str], fmt: str,
-         stream: bool, out) -> tuple[int, dict[str, list[int]]] | None:
+def _run(chunks: Iterable[Sequence[int]], builder: border_mod.BorderBuilder | None,
+         arrays: list[str], fmt: str, stream: bool, out) -> tuple[int, dict[str, list[int]]] | None:
     """The stages of every mode but --oracle.
 
-    Per chunk: one extend_border, which grows `border`, then one extend of
-    each cover array that `arrays` needs. The cover arrays run in a finally,
-    so when extend_border stops on a bad value the values before it go
+    Per chunk: one extend of the border stage (builder.extend, or list.extend
+    when builder is None and the chunks are border values), then one extend
+    of each cover array that `arrays` needs; with no builder, scover always
+    runs, as its extend checks the values. The cover arrays run in a finally,
+    so when the border stage stops on a bad value the values before it go
     through. --stream then writes and flushes the chunk's rows. Batch gets
     n and the requested arrays back, to write once the stages are freed.
     """
+    border: list[int] = [] if builder is None else builder.values
+    extend_border = border.extend if builder is None else builder.extend
     sc, lc = covers_mod.ShortestCoverArray(), covers_mod.LongestCoverArray()
     # a stage that no requested array needs is skipped
-    stages = [stage.extend for stage, needs in ((sc, {"scover"}),
+    checked = {"scover"} if builder is not None else set(ARRAY_NAMES)
+    stages = [stage.extend for stage, needs in ((sc, checked),
                                                 (lc, {"lcover", "covers", "lseeds"}))
               if needs.intersection(arrays)]
     # the per-prefix arrays, and the queries answered for one prefix length i
@@ -200,25 +205,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     kind = ScerKind(args.scer)  # argparse choices admit only the values
 
-    if args.border_file is not None and args.input != "-":
+    border_file = args.border_file is not None
+    if border_file and args.input != "-":
         print("error: --border-file replaces INPUT; drop one of them", file=sys.stderr)
         return 2
 
     try:
-        if args.border_file is not None:
-            border: list[int] = []
-            batch = _run([border_mod.read_border_file(args.border_file)], border, border.extend,
-                         arrays, args.format, False, sys.stdout)
-        else:
-            with _open_input(args.input) as stream:
-                chunks = read_chunks(stream, args.input_mode)
-                if args.oracle:
-                    batch = _compute_oracle(chunks, kind, arrays)
-                else:
-                    # extend checks each token of a token chunk; a bytes chunk needs none
-                    builder = border_mod.BorderBuilder(kind)
-                    batch = _run(chunks, builder.values, builder.extend, arrays, args.format,
-                                 args.stream, sys.stdout)
+        # "-" names a file here: a border file is never stdin
+        with open(args.border_file, "rb") if border_file else _open_input(args.input) as stream:
+            chunks = read_chunks(stream, "tokens" if border_file else args.input_mode)
+            if args.oracle:
+                batch = _compute_oracle(chunks, kind, arrays)
+            else:
+                # extend checks each token of a token chunk; a bytes chunk needs none
+                builder = None if border_file else border_mod.BorderBuilder(kind)
+                batch = _run(chunks, builder, arrays, args.format, args.stream, sys.stdout)
         if batch is not None:
             _emit_batch(*batch, arrays, args.format, kind.value, sys.stdout)
         sys.stdout.flush()

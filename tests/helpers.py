@@ -1,6 +1,6 @@
 """The acceptance suite's per-string checks, and texts, a left-seed walk, a
-Z-array reference for identity and a fake input stream shared by the other
-tests.
+Z-array reference for identity and param and a fake input stream shared by
+the other tests.
 
 Each check returns silently or raises AssertionError with the offending
 string; callers decide the universe to sweep.
@@ -10,7 +10,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 
 from conftest import bord_set, cov_set, lseed_set
-from quasicover.scer import equiv
+from quasicover.scer import equiv, prev_encode
 
 
 def check_cover_border_lemmas(s, kind):
@@ -127,10 +127,12 @@ def left_seeds_by_walk(border, lcover, i):
     return sorted(seeds)
 
 
-def z_array(text):
+def z_array(text, clip=False):
     """Z[k] is the length of the longest common prefix of text and text[k:],
     and Z[0] = len(text) (Gusfield, Algorithms on Strings, Trees and
-    Sequences, 1997). It shares no code with the failure function."""
+    Sequences, 1997). It shares no code with the failure function. With
+    clip, text holds prev codes, and the code at k + m counts as 0 when it
+    exceeds m: in the window from k it points before the window."""
     n = len(text)
     z = [0] * n
     if n:
@@ -139,11 +141,24 @@ def z_array(text):
     for k in range(1, n):
         if k < right:
             z[k] = min(right - k, z[k - left])
-        while k + z[k] < n and text[z[k]] == text[k + z[k]]:
-            z[k] += 1
-        if k + z[k] > right:
-            left, right = k, k + z[k]
+        m = z[k]
+        while k + m < n and text[m] == (0 if clip and text[k + m] > m else text[k + m]):
+            m += 1
+        z[k] = m
+        if k + m > right:
+            left, right = k, k + m
     return z
+
+
+def param_z_array(text):
+    """Z[k] is the longest m with text[k:k+m] param-equivalent to text[:m].
+
+    It is z_array over prev_encode(text), the code at k + m clipped to its
+    window from k. The Z-box step stays valid, as it is for any substring
+    consistent relation: inside a box, text[k:right] is equivalent to
+    text[k-left:right-left]. borders_from_z and covers_from_z read it as
+    they read the identity Z-array."""
+    return z_array(prev_encode(text), clip=True)
 
 
 def borders_from_z(z):

@@ -8,13 +8,8 @@ import random
 import pytest
 
 from conftest import EXAMPLE_TEXT, KINDS, TABLE1_BORDER, TABLE2_BORDER
-from quasicover.border import (
-    BorderBuilder,
-    border_array,
-    border_array_generic,
-    read_border_file,
-    validate_border_array,
-)
+from quasicover.border import BorderBuilder, border_array, border_array_generic
+from quasicover.covers import validate_border_array
 from quasicover.oracle import brute_border_array
 from quasicover.scer import ScerKind
 
@@ -186,21 +181,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_border_array(values)
 
-
-class TestBorderFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "border.txt"
-        path.write_text("".join(f"{v}\n" for v in TABLE1_BORDER))
-        assert read_border_file(str(path)) == TABLE1_BORDER
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "border.txt"
-        path.write_text("0\nx\n")
-        with pytest.raises(ValueError):
-            read_border_file(str(path))
-
-    def test_rejects_malformed_array(self, tmp_path):
-        path = tmp_path / "border.txt"
-        path.write_text("0\n2\n")
-        with pytest.raises(ValueError):
-            read_border_file(str(path))

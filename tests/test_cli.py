@@ -15,9 +15,9 @@ import pytest
 
 import quasicover
 from conftest import TABLE1_BORDER, TABLE1_LCOVER, TABLE1_SCOVER
-from helpers import SplitStream
+from helpers import SplitStream, fibonacci
 from quasicover.border import BorderBuilder, border_array
-from quasicover.cli import ARRAY_NAMES, _run, main, read_chunks
+from quasicover.cli import ARRAY_NAMES, READ_SIZE, _run, main, read_chunks
 from quasicover.covers import (
     all_cover_lengths,
     left_seed_lengths,
@@ -222,12 +222,18 @@ class TestBorderFile:
         assert [int(v) for v in rows["scover"]] == TABLE1_SCOVER
         assert [int(v) for v in rows["lcover"]] == TABLE1_LCOVER
 
-    def test_malformed_border_file_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("arrays", ["border", "scover", "lcover", "covers,lseeds"])
+    @pytest.mark.parametrize("content", ["0\n2\n", "0\n-1\n", "0\nx\n"],
+                             ids=["step", "negative", "not-int"])
+    def test_malformed_border_file_exit_2(self, capsys, tmp_path, content, arrays):
+        # the scover stage checks a border file's values whatever is asked,
+        # so --arrays border rejects what the cover arrays would
         path = tmp_path / "border.txt"
-        path.write_text("0\n2\n")
-        code, _, err = run_cli(capsys, ["--border-file", str(path), "--arrays", "scover"])
+        path.write_text(content)
+        code, out, err = run_cli(capsys, ["--border-file", str(path), "--arrays", arrays])
         assert code == 2
-        assert err
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "border.txt"
@@ -246,6 +252,18 @@ class TestBorderFile:
         path.write_text("".join(f"{v}\n" for v in border_array(EXAMPLE.encode(), scer)))
         argv = ["--scer", scer, "--format", fmt, "--arrays", ",".join(ARRAY_NAMES)]
         from_text = run_cli(capsys, argv + [example_file])
+        assert from_text[0] == 0
+        assert run_cli(capsys, argv + ["--border-file", str(path)]) == from_text
+
+    def test_file_of_many_reads_equals_text_input(self, capsys, tmp_path):
+        text = tmp_path / "text.txt"
+        text.write_bytes(bytes(fibonacci(40_000)))
+        path = tmp_path / "border.txt"
+        path.write_text("".join(f"{v}\n" for v in border_array(text.read_bytes(), "identity")))
+        # values are read 64 KiB at a time, and one split across two reads is carried
+        assert path.stat().st_size > 3 * READ_SIZE
+        argv = ["--arrays", ",".join(ARRAY_NAMES)]
+        from_text = run_cli(capsys, argv + [str(text)])
         assert from_text[0] == 0
         assert run_cli(capsys, argv + ["--border-file", str(path)]) == from_text
 
@@ -418,8 +436,7 @@ class TestStreaming:
         tracemalloc.start()
         try:
             builder = BorderBuilder(ScerKind.IDENTITY)
-            _run(iter([bytes(b[:500])]), builder.values, builder.extend, ["covers", "lseeds"], fmt,
-                 True, Sink())
+            _run(iter([bytes(b[:500])]), builder, ["covers", "lseeds"], fmt, True, Sink())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,11 +7,12 @@ Two implementations of one array agree: the CLI's stream with the batch
 functions, whatever the input's chunk sizes, and Li and Smyth's descending
 longest-cover loop with the ascending one, a chunked longest-cover build
 with the one-shot build, and both left-seed paths with a walk over the
-cover tree. Every cover is a border or the whole text. For identity, the
-border array, and at sampled positions the cover set, equal those read off
-the Z-array, an algorithm that shares nothing with the failure function.
-For param and op on random text, the border array equals the quadratic
-generic builder's, which shares nothing with the failure function either.
+cover tree. Every cover is a border or the whole text. For identity and
+param, the border array, and at sampled positions the cover set, equal
+those read off the Z-array, an algorithm that shares nothing with the
+failure function. For param and op on random text, and for op on a text of
+distinct tokens, the border array equals the quadratic generic builder's,
+which shares nothing with the failure function either.
 """
 
 import random
@@ -29,6 +30,7 @@ from helpers import (
     covers_from_z,
     fibonacci,
     left_seeds_by_walk,
+    param_z_array,
     z_array,
 )
 from quasicover.border import border_array, border_array_generic
@@ -115,6 +117,14 @@ def test_z_reference_matches_oracle():
             assert covers_from_z(z, i) == sorted(cov_set(s[:i], ScerKind.IDENTITY)), (s, i)
 
 
+def test_param_z_reference_matches_oracle():
+    for s in (*strings(8, 2), *strings(6, 3)):
+        z = param_z_array(s)
+        assert borders_from_z(z) == brute_border_array(s, ScerKind.PARAMETERIZED), s
+        for i in range(1, len(s) + 1):
+            assert covers_from_z(z, i) == sorted(cov_set(s[:i], ScerKind.PARAMETERIZED)), (s, i)
+
+
 Z_TEXTS = {
     "periodic": (random.Random(7).choices(range(3), k=7) * N)[:N],
     "fibonacci": TEXTS["fibonacci"],
@@ -123,11 +133,9 @@ Z_TEXTS = {
 }
 
 
-@pytest.mark.parametrize("name", Z_TEXTS)
-def test_identity_arrays_equal_z_reference(name):
+def check_arrays_equal_z_reference(name, kind, z):
     text = Z_TEXTS[name]
-    z = z_array(text)
-    border = border_array(text, ScerKind.IDENTITY)
+    border = border_array(text, kind)
     assert border == borders_from_z(z)
     scover = shortest_cover_array(border).scover
     lca = longest_cover_array(border)
@@ -138,12 +146,33 @@ def test_identity_arrays_equal_z_reference(name):
         assert lca.lcover[i - 1] == (covers[-2] if len(covers) > 1 else 0), (name, i)
 
 
+@pytest.mark.parametrize("name", Z_TEXTS)
+def test_identity_arrays_equal_z_reference(name):
+    check_arrays_equal_z_reference(name, ScerKind.IDENTITY, z_array(Z_TEXTS[name]))
+
+
+@pytest.mark.parametrize("name", Z_TEXTS)
+def test_param_arrays_equal_z_reference(name):
+    check_arrays_equal_z_reference(name, ScerKind.PARAMETERIZED, param_z_array(Z_TEXTS[name]))
+
+
+# every token distinct, in a seeded order
+DISTINCT = random.Random(N).sample(range(N), N)
+
+
 @pytest.mark.parametrize("kind", [ScerKind.PARAMETERIZED, ScerKind.ORDER_ISO])
-@pytest.mark.parametrize("name", ["random4", "random200"])
+@pytest.mark.parametrize("name", ["random4", "random200", "distinct"])
 def test_border_array_equals_generic(name, kind):
-    # borders of random text stay short, so the quadratic builder is cheap here
-    text = Z_TEXTS[name]
-    assert border_array(text, kind) == border_array_generic(text, kind)
+    text = DISTINCT if name == "distinct" else Z_TEXTS[name]
+    border = border_array(text, kind)
+    if name == "distinct" and kind is ScerKind.PARAMETERIZED:
+        # every window of distinct tokens is param-equivalent to the prefix, so
+        # each border is as long as it can be and the generic builder, which
+        # checks the longest candidate first in O(n), takes seconds
+        assert border == list(range(N))
+    else:
+        # these borders stay short, so the quadratic builder is cheap here
+        assert border == border_array_generic(text, kind)
 
 
 def random_pieces(data, rng):
