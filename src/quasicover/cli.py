@@ -71,8 +71,9 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
     there are none, so a chunk never waits for later input. In bytes mode a
     chunk is the bytes object itself; only a chunk-final newline is held
     back, because at EOF it is the dropped trailing newline. In tokens mode a
-    trailing partial token is carried into the next chunk; on a bad token the
-    tokens before it are yielded first, then ValueError is raised.
+    trailing partial token is carried into the next chunk. A token that int()
+    rejects, or that holds an underscore, is bad: the tokens before it are
+    yielded first, then ValueError is raised.
     """
     if mode == "bytes":
         held = b""
@@ -88,18 +89,27 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
     carry = b""
     while True:
         data = stream.read1(READ_SIZE)
-        parts = (carry + data).split()
+        buf = carry + data
+        parts = buf.split()
         carry = parts.pop() if data and not data[-1:].isspace() else b""
         tokens: list[int] = []
+        error = None
         try:
             for tok in parts:
                 tokens.append(int(tok))
         except ValueError as e:
-            if tokens:
-                yield tokens
-            raise ValueError(f"bad token input: {e}") from None
+            error = e
+        if b"_" in buf:
+            # int() reads 1_0 as 10, so the first parsed token with "_" is bad too
+            for k, tok in enumerate(parts[:len(tokens)]):
+                if b"_" in tok:
+                    del tokens[k:]
+                    error = f"underscore in token {tok!r}"
+                    break
         if tokens:
             yield tokens
+        if error is not None:
+            raise ValueError(f"bad token input: {error}")
         if not data:
             return
 

@@ -309,13 +309,17 @@ def left_seed_lengths(border: Sequence[int], lca: LongestCoverArray, i: int) -> 
     lcover values are online (entry k depends only on border[1..k]).
 
     When at most i / 2 nodes of lca have retired (2 * while_successes <=
-    i), the answer is at least half of 1..i: the cut path cuts the runs
-    between the retired nodes j < i with dead[j] <= i from a shared list of
-    ints. A node retires after its own position, so the nodes retired by i
+    i), the answer is at least half of 1..i, so i is at most twice its size:
+    the cut path takes 1..i from the shared list of ints as one descending
+    slice and deletes from it the runs of retired nodes j < i with dead[j]
+    <= i. A node retires after its own position, so the nodes retired by i
     are all below i. It reads the retired nodes from lca._retired,
     which it rebuilds in one C-level scan of dead when the length of the
-    index is not while_successes, so a query costs O(while_successes) plus
-    the answer, not O(i).
+    index is not while_successes. A query costs one O(i) slice and reverse,
+    plus, per deleted run, a move of the pointers of the kept nodes below
+    it; every cut node lies below i - Border[i], so the nodes of [i -
+    Border[i], i] never move. del keeps the slice's capacity, so an answer
+    may hold up to while_successes spare slots.
     Otherwise the walk path takes the union of the ancestor chains of
     [i - Border[i], i]. longest_cover_array_li_smyth keeps while_successes
     current before each after_increment call, so a query from its hook sees
@@ -332,13 +336,20 @@ def left_seed_lengths(border: Sequence[int], lca: LongestCoverArray, i: int) -> 
         if len(retired) != lca.while_successes:
             # a new list, never the old one changed: a reader's list stays valid
             retired = lca._retired = list(compress(naturals, dead))
-        out: list[int] = []
-        start = 1
+        # Node j sits at index i - j. Each maximal run lo + 1..hi of cut nodes
+        # is one del, lowest run first: the nodes above a run keep their
+        # indices, and only the kept nodes below it move. lo = hi = 0 is the
+        # empty run before the first.
+        out = naturals[i:0:-1]
+        lo = hi = 0
         for j in retired[:bisect_left(retired, i)]:
             if dead[j] <= i:
-                out += naturals[start:j]
-                start = j + 1
-        out += naturals[start:i + 1]
+                if j != hi + 1:
+                    del out[i - hi:i - lo]
+                    lo = j - 1
+                hi = j
+        del out[i - hi:i - lo]
+        out.reverse()
         return out
     lcover = lca.lcover
     seeds: set[int] = set()

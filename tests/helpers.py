@@ -116,6 +116,30 @@ def fibonacci(n):
     return b[:n]
 
 
+def periodic_text(rng, n):
+    """Quasi-periodic text of n tokens: overlapping copies of one bordered word.
+
+    The word is u = v w v over four of the tokens 0..7, with |v| = 2, |w| = 3,
+    v its only border and at least three distinct tokens. Copies follow the
+    Fibonacci word: 0 appends a whole copy of u, 1 a copy that overlaps the
+    last one by v. So u covers every prefix that ends at a copy, and borders
+    are long and cover chains deep at every scale.
+    """
+    letters = rng.sample(range(8), 4)
+    while True:
+        v = rng.choices(letters, k=2)
+        u = v + rng.choices(letters, k=3) + v
+        borders = [b for b in range(1, len(u)) if u[:b] == u[len(u) - b:]]
+        if borders == [len(v)] and len(set(u)) >= 3:
+            break
+    out = []
+    for letter in fibonacci(n):
+        if len(out) >= n:
+            break
+        out += u[len(v):] if letter else u
+    return out[:n]
+
+
 def left_seeds_by_walk(border, lcover, i):
     """The left seeds of T[:i] as the union of the cover-tree ancestor chains
     of [i - Border[i], i], ascending; reads neither dead nor any counter."""

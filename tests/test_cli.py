@@ -223,8 +223,9 @@ class TestBorderFile:
         assert [int(v) for v in rows["lcover"]] == TABLE1_LCOVER
 
     @pytest.mark.parametrize("arrays", ["border", "scover", "lcover", "covers,lseeds"])
-    @pytest.mark.parametrize("content", ["0\n2\n", "0\n-1\n", "0\nx\n"],
-                             ids=["step", "negative", "not-int"])
+    # int() would read 0_1 as 1, and [0, 1] is a valid border array
+    @pytest.mark.parametrize("content", ["0\n2\n", "0\n-1\n", "0\nx\n", "0\n0_1\n"],
+                             ids=["step", "negative", "not-int", "underscore"])
     def test_malformed_border_file_exit_2(self, capsys, tmp_path, content, arrays):
         # the scover stage checks a border file's values whatever is asked,
         # so --arrays border rejects what the cover arrays would
@@ -489,6 +490,15 @@ class TestOnlineStream:
         assert out.splitlines() == ["i\tborder\tscover\tlcover", "1\t0\t1\t0", "2\t0\t2\t0"]
         assert err.startswith("error: bad token input")
 
+    def test_underscore_token_ends_stream_after_earlier_rows(self, capsys, tmp_path):
+        # int() would read 1_0 as the token 10
+        path = tmp_path / "tokens.txt"
+        path.write_text("1 2 1_0")
+        code, out, err = run_cli(capsys, ["--stream", "--input-mode", "tokens", str(path)])
+        assert code == 2
+        assert out.splitlines() == ["i\tborder\tscover\tlcover", "1\t0\t1\t0", "2\t0\t2\t0"]
+        assert err == "error: bad token input: underscore in token b'1_0'\n"
+
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     @pytest.mark.parametrize("scer", ["identity", "param", "op"])
     def test_negative_token_mid_chunk_after_earlier_rows(self, capsys, tmp_path, scer, fmt):
@@ -527,7 +537,10 @@ class TestReadChunks:
         assert self.chunks([b"", b"  "], "tokens") == []
         assert self.chunks([b"7"], "tokens") == [[7]]
 
-    @pytest.mark.parametrize("pieces", [[b"1 2 x 3"], [b"1 2 x", b" 3"], [b"1 2 ", b"x"]])
+    @pytest.mark.parametrize("pieces", [[b"1 2 x 3"], [b"1 2 x", b" 3"], [b"1 2 ", b"x"],
+                                        # int() reads 1_0 as 10
+                                        [b"1 2 1_0 3"], [b"1 2 1_", b"0 3"], [b"1 2 1_0 x"],
+                                        [b"1 2 _"]])
     def test_bad_token_after_good_ones(self, pieces):
         got = []
         with pytest.raises(ValueError, match="bad token input"):

@@ -1,6 +1,7 @@
 """Cover-array algorithms: goldens, traces, invariants, oracle equivalence."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -18,7 +19,8 @@ from conftest import (
     lseed_set,
     strings,
 )
-from helpers import fibonacci, left_seeds_by_walk
+from helpers import fibonacci, left_seeds_by_walk, periodic_text
+from quasicover import covers
 from quasicover.border import BorderBuilder, border_array
 from quasicover.covers import (
     LongestCoverArray,
@@ -313,6 +315,60 @@ class TestRetiredIndex:
                 else:
                     assert got == expected[i - 1], (s, i)
         assert min(paths.values()) > 0, paths
+
+
+class TestCutPathAtScale:
+    """Cut-path answers on n = 5,000 texts, far beyond the exhaustive
+    universe: they equal the walk, and they are slices of the shared pool."""
+
+    N = 5_000
+
+    def texts(self):
+        yield periodic_text(random.Random(53), self.N)
+        yield fibonacci(self.N)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_walk(self, kind):
+        seen = {"run from node 1": 0, "run of two or more": 0, "retired later, kept": 0}
+        for text in self.texts():
+            b = border_array(text, kind)
+            lca = longest_cover_array(b)
+            dead = lca.dead
+            queries = range(max(1, 2 * lca.while_successes), self.N + 1, 7)
+            assert len(queries) > self.N // 8
+            for i in queries:
+                got = left_seed_lengths(b, lca, i)
+                assert got == left_seeds_by_walk(b, lca.lcover, i), (kind, i)
+                below = [j for j in lca._retired if j < i]
+                cut = [j for j in below if dead[j] <= i]
+                seen["run from node 1"] += cut[:1] == [1]
+                seen["run of two or more"] += any(k + 1 == j for k, j in zip(cut, cut[1:]))
+                seen["retired later, kept"] += len(cut) < len(below)
+        if kind != ScerKind.IDENTITY:
+            # under param and op every length-1 prefix covers the text, so
+            # node 1 never retires
+            assert seen.pop("run from node 1") == 0
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_answers_are_pool_slices(self, kind):
+        for text in self.texts():
+            b = border_array(text, kind)
+            lca = longest_cover_array(b)
+            ws = lca.while_successes
+            for i in (2 * ws, 3 * ws + 1, self.N // 2, self.N - 1, self.N):
+                ans = left_seed_lengths(b, lca, i)
+                pool = covers._NATURALS
+                assert all(x is pool[x] for x in ans), (kind, i)
+                # del keeps the slice's capacity: up to while_successes spare slots
+                assert sys.getsizeof(ans) <= sys.getsizeof([]) + 8 * (len(ans) + ws), (kind, i)
+                held = list(ans)
+                ans.reverse()
+                ans[0] = -1
+                del ans[1::2]
+                ans.clear()
+                assert all(pool[k] == k for k in range(i + 1))
+                assert left_seed_lengths(b, lca, i) == held, (kind, i)
 
 
 def small_universe():
