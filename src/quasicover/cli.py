@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Reads a byte or token text, or a border array (--border-file, read as
-tokens), picks an equivalence relation, and emits any subset of {border,
-scover, lcover, covers, lseeds} as TSV or JSON. Every mode but --oracle
-runs one stage loop: each decoded chunk goes through one extend() of the
-border stage and of each cover array the requested arrays need. Batch
-writes the arrays after the last chunk. With --stream, one row per prefix
-is emitted for any of the three relations, as the input arrives: a
-chunk's rows are formatted from the arrays, written and flushed before the
-next read waits. A bad token ends the stream with exit code 2, after the
-rows for the tokens before it.
+Reads a byte text, or a token text or border array (--border-file) of
+non-negative integers written as ASCII digits, picks an equivalence
+relation, and emits any subset of {border, scover, lcover, covers, lseeds}
+as TSV or JSON. Every mode but --oracle runs one stage loop: each decoded
+chunk goes through one extend() of the border stage and of each cover
+array the requested arrays need. Batch writes the arrays after the last
+chunk. With --stream, one row per prefix is emitted for any of the three
+relations, as the input arrives: a chunk's rows are formatted from the
+arrays, written and flushed before the next read waits. A bad token ends
+the stream with exit code 2, after the rows for the tokens before it.
 
 Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 """
@@ -45,23 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
                    "row i's covers is i plus the covers of row lcover[i-1]")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--input-mode", choices=["bytes", "tokens"], default="bytes",
-                   help="bytes: each byte is a token; tokens: whitespace-separated integers")
+                   help="bytes: each byte is a token; tokens: whitespace-separated "
+                   "non-negative integers written as ASCII digits")
     # each picks its own way to get the arrays in main, so at most one is given
     g = p.add_mutually_exclusive_group()
     g.add_argument("--border-file", default=None,
-                   help="a border array to use instead of the text: whitespace-separated integers")
+                   help="a border array to use instead of the text, in --input-mode tokens format")
     g.add_argument("--oracle", action="store_true",
                    help="compute everything with the brute-force reference implementations")
     g.add_argument("--stream", action="store_true",
                    help="emit one row per prefix, as the input arrives")
     return p
-
-
-def _open_input(path: str) -> contextlib.AbstractContextManager[BinaryIO]:
-    """The binary input stream; leaving the block closes a file, not stdin."""
-    if path == "-":
-        return contextlib.nullcontext(sys.stdin.buffer)
-    return open(path, "rb")
 
 
 def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
@@ -71,9 +65,10 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
     there are none, so a chunk never waits for later input. In bytes mode a
     chunk is the bytes object itself; only a chunk-final newline is held
     back, because at EOF it is the dropped trailing newline. In tokens mode a
-    trailing partial token is carried into the next chunk. A token that int()
-    rejects, or that holds an underscore, is bad: the tokens before it are
-    yielded first, then ValueError is raised.
+    token is a non-negative integer written as ASCII digits, and a trailing
+    partial token is carried into the next chunk. Any other token, or one
+    too long for int(), is bad: the tokens before it are yielded first, then
+    ValueError is raised.
     """
     if mode == "bytes":
         held = b""
@@ -89,23 +84,17 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
     carry = b""
     while True:
         data = stream.read1(READ_SIZE)
-        buf = carry + data
-        parts = buf.split()
+        parts = (carry + data).split()
         carry = parts.pop() if data and not data[-1:].isspace() else b""
-        tokens: list[int] = []
         error = None
+        if not all(map(bytes.isdigit, parts)):
+            k = next(k for k, tok in enumerate(parts) if not tok.isdigit())
+            parts, error = parts[:k], f"{parts[k]!r} is not ASCII digits"
+        tokens: list[int] = []
         try:
-            for tok in parts:
-                tokens.append(int(tok))
-        except ValueError as e:
+            tokens += map(int, parts)
+        except ValueError as e:  # more digits than int() takes; the tokens before stay
             error = e
-        if b"_" in buf:
-            # int() reads 1_0 as 10, so the first parsed token with "_" is bad too
-            for k, tok in enumerate(parts[:len(tokens)]):
-                if b"_" in tok:
-                    del tokens[k:]
-                    error = f"underscore in token {tok!r}"
-                    break
         if tokens:
             yield tokens
         if error is not None:
@@ -118,9 +107,8 @@ def _compute_oracle(chunks: Iterator[Sequence[int]], kind: ScerKind,
                     arrays: list[str]) -> tuple[int, dict[str, list[int]]]:
     """n and the requested arrays, from the brute-force reference implementations."""
     from . import oracle as oracle_mod
-    from .scer import TokenSeq
 
-    text = TokenSeq(t for chunk in chunks for t in chunk)
+    text = tuple(t for chunk in chunks for t in chunk)
     n = len(text)
     out: dict[str, list[int]] = {}
     if "border" in arrays:
@@ -159,10 +147,10 @@ def _run(chunks: Iterable[Sequence[int]], builder: border_mod.BorderBuilder | No
     Per chunk: one extend of the border stage (builder.extend, or list.extend
     when builder is None and the chunks are border values), then one extend
     of each cover array that `arrays` needs; with no builder, scover always
-    runs, as its extend checks the values. The cover arrays run in a finally,
-    so when the border stage stops on a bad value the values before it go
-    through. --stream then writes and flushes the chunk's rows. Batch gets
-    n and the requested arrays back, to write once the stages are freed.
+    runs, as its extend checks the values. Every token of a chunk was
+    checked by read_chunks, so the border stage never stops mid-chunk.
+    --stream then writes and flushes the chunk's rows. Batch gets n and the
+    requested arrays back, to write once the stages are freed.
     """
     border: list[int] = [] if builder is None else builder.values
     extend_border = border.extend if builder is None else builder.extend
@@ -183,24 +171,22 @@ def _run(chunks: Iterable[Sequence[int]], builder: border_mod.BorderBuilder | No
         out.write("i\t" + "\t".join(arrays) + "\n")
     for chunk in chunks:
         i0 = len(border)
-        try:
-            extend_border(chunk)
-        finally:
-            new = border[i0:]
-            for extend in stages:
-                extend(new)
-            if stream:
-                for i in range(i0 + 1, len(border) + 1):
-                    row = {name: columns[name][i - 1] if name in columns else queries[name](i)
-                           for name in names}
-                    if fmt == "json":
-                        out.write(json.dumps({"i": i, **row}) + "\n")
-                    else:
-                        cells = [",".join(map(str, v)) if isinstance(v, list) else str(v)
-                                 for v in map(row.__getitem__, arrays)]
-                        out.write(str(i) + "\t" + "\t".join(cells) + "\n")
-                # Every row for the bytes read so far is out before the next read waits.
-                out.flush()
+        extend_border(chunk)
+        new = border[i0:]
+        for extend in stages:
+            extend(new)
+        if stream:
+            for i in range(i0 + 1, len(border) + 1):
+                row = {name: columns[name][i - 1] if name in columns else queries[name](i)
+                       for name in names}
+                if fmt == "json":
+                    out.write(json.dumps({"i": i, **row}) + "\n")
+                else:
+                    cells = [",".join(map(str, v)) if isinstance(v, list) else str(v)
+                             for v in map(row.__getitem__, arrays)]
+                    out.write(str(i) + "\t" + "\t".join(cells) + "\n")
+            # Every row for the bytes read so far is out before the next read waits.
+            out.flush()
     n = len(border)
     return None if stream else (n, {name: columns[name] if name in columns else
                                     queries[name](n) if n else [] for name in names})
@@ -221,13 +207,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        # "-" names a file here: a border file is never stdin
-        with open(args.border_file, "rb") if border_file else _open_input(args.input) as stream:
+        # INPUT "-" is stdin, which leaving the block leaves open; a border file is never stdin
+        path = args.border_file if border_file else args.input
+        with (contextlib.nullcontext(sys.stdin.buffer) if path == "-" and not border_file
+              else open(path, "rb")) as stream:
             chunks = read_chunks(stream, "tokens" if border_file else args.input_mode)
             if args.oracle:
                 batch = _compute_oracle(chunks, kind, arrays)
             else:
-                # extend checks each token of a token chunk; a bytes chunk needs none
+                # read_chunks checked every token; scover checks a border file's values
                 builder = None if border_file else border_mod.BorderBuilder(kind)
                 batch = _run(chunks, builder, arrays, args.format, args.stream, sys.stdout)
         if batch is not None:

@@ -225,7 +225,7 @@ def longest_cover_array(border: Iterable[int]) -> LongestCoverArray:
 
 
 def longest_cover_array_li_smyth(
-    border: Sequence[int],
+    border: Iterable[int],
     after_increment: Callable[[int, LongestCoverArray], None] | None = None,
 ) -> LongestCoverArray:
     """Longest cover array via Li and Smyth's descending inner loop.
@@ -239,6 +239,9 @@ def longest_cover_array_li_smyth(
     longest_cover_array's, dead and counters included, and its extend()
     continues the text with the ascending loop.
     """
+    # the check below reads the values once; the loop reads them again
+    if not isinstance(border, (list, tuple)):
+        border = list(border)
     validate_border_array(border)
     lca = LongestCoverArray()
     lcover, children, anc, dead = lca.lcover, lca.ls_children, lca.longest_ls_anc, lca.dead

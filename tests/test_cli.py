@@ -27,6 +27,10 @@ from quasicover.covers import (
 from quasicover.scer import ScerKind
 
 EXAMPLE = "abaababaabaababa"
+# int() refuses a digit string longer than this; 0 where it has no limit (before 3.11)
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = b"9" * (INT_MAX_STR_DIGITS + 1)
+needs_digit_limit = pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() has no digit limit")
 
 
 def run_cli(capsys, argv):
@@ -184,7 +188,7 @@ class TestInputModes:
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert err == "error: tokens must be non-negative integers, got -2\n"
+        assert err == "error: bad token input: b'-2' is not ASCII digits\n"
 
     def test_trailing_newline_stripped_in_byte_mode(self, capsys, tmp_path):
         path = tmp_path / "text.txt"
@@ -223,9 +227,9 @@ class TestBorderFile:
         assert [int(v) for v in rows["lcover"]] == TABLE1_LCOVER
 
     @pytest.mark.parametrize("arrays", ["border", "scover", "lcover", "covers,lseeds"])
-    # int() would read 0_1 as 1, and [0, 1] is a valid border array
-    @pytest.mark.parametrize("content", ["0\n2\n", "0\n-1\n", "0\nx\n", "0\n0_1\n"],
-                             ids=["step", "negative", "not-int", "underscore"])
+    # int() would read 0_1 and +1 as 1, and [0, 1] is a valid border array
+    @pytest.mark.parametrize("content", ["0\n2\n", "0\n-1\n", "0\nx\n", "0\n0_1\n", "0\n+1\n"],
+                             ids=["step", "negative", "not-int", "underscore", "plus"])
     def test_malformed_border_file_exit_2(self, capsys, tmp_path, content, arrays):
         # the scover stage checks a border file's values whatever is asked,
         # so --arrays border rejects what the cover arrays would
@@ -497,21 +501,30 @@ class TestOnlineStream:
         code, out, err = run_cli(capsys, ["--stream", "--input-mode", "tokens", str(path)])
         assert code == 2
         assert out.splitlines() == ["i\tborder\tscover\tlcover", "1\t0\t1\t0", "2\t0\t2\t0"]
-        assert err == "error: bad token input: underscore in token b'1_0'\n"
+        assert err == "error: bad token input: b'1_0' is not ASCII digits\n"
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     @pytest.mark.parametrize("scer", ["identity", "param", "op"])
     def test_negative_token_mid_chunk_after_earlier_rows(self, capsys, tmp_path, scer, fmt):
-        # int() accepts -3, so it reaches the builder in the same chunk as 1 2 and 4
+        # -3 comes in the same read as 1 2 and 4
         path = tmp_path / "tokens.txt"
         path.write_text("1 2 -3 4\n")
         argv = ["--scer", scer, "--input-mode", "tokens", "--format", fmt, str(path)]
         code, out, err = run_cli(capsys, argv + ["--stream"])
         assert code == 2
-        assert err == "error: tokens must be non-negative integers, got -3\n"
+        assert err == "error: bad token input: b'-3' is not ASCII digits\n"
         path.write_text("1 2\n")
         assert run_cli(capsys, argv + ["--stream"]) == (0, out, "")
         assert len(out.splitlines()) == (3 if fmt == "tsv" else 2)
+
+    @needs_digit_limit
+    def test_over_long_token_ends_stream_after_earlier_rows(self, capsys, tmp_path):
+        path = tmp_path / "tokens.txt"
+        path.write_bytes(b"1 2 " + TOO_LONG + b" 3\n")
+        code, out, err = run_cli(capsys, ["--stream", "--input-mode", "tokens", str(path)])
+        assert code == 2
+        assert out.splitlines() == ["i\tborder\tscover\tlcover", "1\t0\t1\t0", "2\t0\t2\t0"]
+        assert err.startswith("error: bad token input: ")
 
     def test_read_error_exits_1(self, capsys, monkeypatch):
         class FailingStream:
@@ -540,13 +553,23 @@ class TestReadChunks:
     @pytest.mark.parametrize("pieces", [[b"1 2 x 3"], [b"1 2 x", b" 3"], [b"1 2 ", b"x"],
                                         # int() reads 1_0 as 10
                                         [b"1 2 1_0 3"], [b"1 2 1_", b"0 3"], [b"1 2 1_0 x"],
-                                        [b"1 2 _"]])
+                                        [b"1 2 _"],
+                                        # int() reads +2 as 2 and -0 as 0; U+0663 is an
+                                        # Arabic-Indic digit, in UTF-8
+                                        [b"1 2 +2"], [b"1 2 -0"], [b"1 2 0x10"],
+                                        [b"1 2 " + "\u0663".encode()], [b"1 2 -", b"0 3"],
+                                        pytest.param([b"1 2 " + TOO_LONG + b" 3"],
+                                                     marks=needs_digit_limit)])
     def test_bad_token_after_good_ones(self, pieces):
         got = []
         with pytest.raises(ValueError, match="bad token input"):
             for chunk in read_chunks(SplitStream(pieces), "tokens"):
                 got += chunk
         assert got == [1, 2]
+
+    def test_leading_zeros_and_mixed_whitespace(self):
+        # the final 2 could go on in the next read, so it comes at EOF
+        assert self.chunks([b"007\t1\r\n2"], "tokens") == [[7, 1], [2]]
 
     def test_chunk_final_newline_before_more_bytes_is_a_token(self):
         assert self.chunks([b"ab\n", b"c"], "bytes") == [list(b"ab"), list(b"\nc")]

@@ -136,6 +136,14 @@ class TestOneClassPerArray:
                 assert longest_cover_array(b) != lca
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_one_pass_iterable_equals_list(self, kind):
+        for s in self.texts():
+            b = border_array(s, kind)
+            for build in (shortest_cover_array, longest_cover_array,
+                          longest_cover_array_li_smyth):
+                assert build(v for v in b) == build(b)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_push_continues_li_smyth(self, kind):
         for s in self.texts():
             b = border_array(s, kind)

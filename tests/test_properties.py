@@ -4,6 +4,7 @@ The exhaustive universes elsewhere stop at binary length 10 and ternary
 length 8; here hypothesis draws texts of length up to 30 over alphabets of
 up to n arbitrary non-negative symbols, for every relation, and builds the
 shortest and longest cover arrays over a drawn chunking of the border array.
+The CLI's tokens reader is checked against drawn token texts and reads.
 """
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KINDS
+from helpers import SplitStream
 from quasicover.border import border_array
+from quasicover.cli import read_chunks
 from quasicover.covers import (
     LongestCoverArray,
     ShortestCoverArray,
@@ -66,3 +69,56 @@ def test_fast_paths_match_oracles(kind, s, data):
     assert chunked_sca == sca
     assert all_cover_lengths(lca, n) == sorted(brute_cover_set(s, kind))
     assert left_seed_lengths(b, lca, n) == brute_left_seeds(s, kind, n)
+
+
+WHITESPACE = b" \t\n\r\x0b\x0c"  # what bytes.split() splits on
+VALUES = st.lists(st.integers(0, 10**30), max_size=20)
+BAD_TOKENS = st.one_of(
+    st.sampled_from([b"+1", b"-0", b"-7", b"1_0", b"0x10", b"1.5", b"1e3", "\u0663".encode()]),
+    st.binary(min_size=1, max_size=4)
+    .map(lambda tok: bytes(c for c in tok if c not in WHITESPACE))
+    .filter(lambda tok: tok and not tok.isdigit()),
+)
+
+
+def token_reads(data, words):
+    """The words between drawn whitespace, cut into drawn non-empty reads."""
+    def space(min_size):
+        return bytes(data.draw(st.lists(st.sampled_from(WHITESPACE), min_size=min_size,
+                                        max_size=3)))
+
+    text = space(0) + b"".join(w + space(1 if k < len(words) - 1 else 0)
+                               for k, w in enumerate(words))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(text) - 1), max_size=5))
+                  if len(text) > 1 else ())
+    bounds = [0, *cuts, len(text)]
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def digits(data, v):
+    return b"0" * data.draw(st.integers(0, 2)) + str(v).encode()
+
+
+def read_tokens(pieces, got):
+    for chunk in read_chunks(SplitStream(pieces), "tokens"):
+        got += chunk
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(values=VALUES, data=st.data())
+def test_reader_yields_drawn_tokens(values, data):
+    got = []
+    read_tokens(token_reads(data, [digits(data, v) for v in values]), got)
+    assert got == values
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(values=VALUES, data=st.data())
+def test_reader_stops_at_first_bad_token(values, data):
+    k = data.draw(st.integers(0, len(values)))
+    words = [digits(data, v) for v in values]
+    words.insert(k, data.draw(BAD_TOKENS))
+    got = []
+    with pytest.raises(ValueError, match="^bad token input: "):
+        read_tokens(token_reads(data, words), got)
+    assert got == values[:k]
