@@ -7,9 +7,10 @@ as TSV or JSON. Every mode but --oracle runs one stage loop: each decoded
 chunk goes through one extend() of the border stage and of each cover
 array the requested arrays need. Batch writes the arrays after the last
 chunk. With --stream, one row per prefix is emitted for any of the three
-relations, as the input arrives: a chunk's rows are formatted from the
-arrays, written and flushed before the next read waits. A bad token ends
-the stream with exit code 2, after the rows for the tokens before it.
+relations, as the input arrives: a chunk's rows are one template pass,
+written and flushed before the next read waits. A JSON line is in
+json.dumps' default layout; a TSV list cell is comma-joined. A bad token
+ends the stream with exit code 2, after the rows for the tokens before it.
 
 Exit codes: 0 success, 1 I/O error, 2 malformed input or bad request.
 """
@@ -105,33 +106,28 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
 
 def _compute_oracle(chunks: Iterator[Sequence[int]], kind: ScerKind,
                     arrays: list[str]) -> tuple[int, dict[str, list[int]]]:
-    """n and the requested arrays, from the brute-force reference implementations."""
+    """n and each requested array once, in request order, from the brute-force oracles."""
     from . import oracle as oracle_mod
 
     text = tuple(t for chunk in chunks for t in chunk)
     n = len(text)
-    out: dict[str, list[int]] = {}
-    if "border" in arrays:
-        out["border"] = oracle_mod.brute_border_array(text, kind)
-    if "scover" in arrays:
-        out["scover"] = oracle_mod.brute_scover(text, kind)
-    if "lcover" in arrays:
-        out["lcover"] = oracle_mod.brute_lcover(text, kind)
-    if "covers" in arrays:
-        out["covers"] = sorted(oracle_mod.brute_cover_set(text, kind)) if n else []
-    if "lseeds" in arrays:
-        out["lseeds"] = oracle_mod.brute_left_seeds(text, kind, n) if n else []
-    return n, out
+    brute = {"border": lambda: oracle_mod.brute_border_array(text, kind),
+             "scover": lambda: oracle_mod.brute_scover(text, kind),
+             "lcover": lambda: oracle_mod.brute_lcover(text, kind),
+             "covers": lambda: sorted(oracle_mod.brute_cover_set(text, kind)) if n else [],
+             "lseeds": lambda: oracle_mod.brute_left_seeds(text, kind, n) if n else []}
+    return n, {name: brute[name]() for name in dict.fromkeys(arrays)}
+
+
+def _json_row(head: str, names: Iterable[str]) -> str:
+    # str() of an int or of a list of ints is its json.dumps, so %s keeps that layout
+    return "{" + ", ".join([head, *(f'"{name}": %s' for name in names)]) + "}\n"
 
 
 def _emit_batch(n: int, result: dict[str, list[int]], arrays: list[str], fmt: str,
                 scer: str, out) -> None:
     if fmt == "json":
-        import json
-
-        payload = {"n": n, "scer": scer, **{name: result[name] for name in arrays}}
-        # dumps, not dump: dump streams through the pure-Python encoder
-        out.write(json.dumps(payload) + "\n")
+        out.write(_json_row(f'"n": %s, "scer": "{scer}"', result) % (n, *result.values()))
         return
     # every value is in 0..n, so each cell is looked up, not formatted again
     table = list(map(str, range(n + 1)))
@@ -149,8 +145,10 @@ def _run(chunks: Iterable[Sequence[int]], builder: border_mod.BorderBuilder | No
     of each cover array that `arrays` needs; with no builder, scover always
     runs, as its extend checks the values. Every token of a chunk was
     checked by read_chunks, so the border stage never stops mid-chunk.
-    --stream then writes and flushes the chunk's rows. Batch gets n and the
-    requested arrays back, to write once the stages are freed.
+    --stream then writes and flushes the chunk's rows, one pass of a row
+    template over (i, *cells): a JSON line is in json.dumps' default layout,
+    a TSV list cell is comma-joined. Batch gets n and the requested arrays
+    back, each once in request order, to write once the stages are freed.
     """
     border: list[int] = [] if builder is None else builder.values
     extend_border = border.extend if builder is None else builder.extend
@@ -165,10 +163,13 @@ def _run(chunks: Iterable[Sequence[int]], builder: border_mod.BorderBuilder | No
     queries = {"covers": lambda i: covers_mod.all_cover_lengths(lc, i),
                "lseeds": lambda i: covers_mod.left_seed_lengths(border, lc, i)}
     names = list(dict.fromkeys(arrays))
-    if fmt == "json":
-        import json
-    elif stream:
-        out.write("i\t" + "\t".join(arrays) + "\n")
+    if fmt == "json":  # a row names each array once
+        cols, row, list_cell = names, _json_row('"i": %s', names), str
+    else:  # a row repeats a repeated array
+        cols, row = arrays, "%s" + "\t%s" * len(arrays) + "\n"
+        list_cell = lambda v: ",".join(map(str, v))  # noqa: E731
+        if stream:
+            out.write(row % ("i", *arrays))
     for chunk in chunks:
         i0 = len(border)
         extend_border(chunk)
@@ -176,15 +177,11 @@ def _run(chunks: Iterable[Sequence[int]], builder: border_mod.BorderBuilder | No
         for extend in stages:
             extend(new)
         if stream:
-            for i in range(i0 + 1, len(border) + 1):
-                row = {name: columns[name][i - 1] if name in columns else queries[name](i)
-                       for name in names}
-                if fmt == "json":
-                    out.write(json.dumps({"i": i, **row}) + "\n")
-                else:
-                    cells = [",".join(map(str, v)) if isinstance(v, list) else str(v)
-                             for v in map(row.__getitem__, arrays)]
-                    out.write(str(i) + "\t" + "\t".join(cells) + "\n")
+            rows = range(i0 + 1, len(border) + 1)
+            cells = [columns[name][i0:] if name in columns else
+                     map(list_cell, map(queries[name], rows)) for name in cols]
+            # lazy, so that a list cell is made only as its row is written
+            out.writelines(map(row.__mod__, zip(rows, *cells)))
             # Every row for the bytes read so far is out before the next read waits.
             out.flush()
     n = len(border)

@@ -153,13 +153,17 @@ class TestOracleFlag:
 
 
 class TestStartup:
-    def test_import_leaves_out_oracle_and_json(self):
-        # --oracle and --format json import them when they are asked for
-        code = ("import sys, quasicover.cli; "
-                "print(sorted({'json', 'quasicover.oracle'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], env=cli_env(),
-                             capture_output=True, text=True, check=True).stdout
-        assert out == "[]\n"
+    def test_import_leaves_out_oracle_and_json(self, example_file):
+        # --oracle imports the oracle when it is asked for; the CLI never imports json
+        check = "print(sorted({'json', 'quasicover.oracle'} & set(sys.modules)), file=sys.stderr)"
+        code = (f"import sys, quasicover.cli\n{check}\n"
+                "for extra in ([], ['--stream']):\n"
+                f"    quasicover.cli.main([{example_file!r}, '--format', 'json', *extra])\n"
+                f"{check}\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                              capture_output=True, text=True, check=True)
+        assert proc.stderr == "[]\n[]\n"
+        assert len(proc.stdout.splitlines()) == 1 + len(EXAMPLE)
 
 
 class TestInputModes:
@@ -200,13 +204,16 @@ class TestInputModes:
     def test_empty_input(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        code, out, _ = run_cli(
-            capsys, ["--arrays", "border,scover,lcover,covers,lseeds", str(path)]
-        )
+        argv = ["--arrays", "border,scover,lcover,covers,lseeds", str(path)]
+        code, out, _ = run_cli(capsys, argv)
         assert code == 0
         rows = parse_tsv(out)
         assert rows["border"] == []
         assert rows["covers"] == []
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert out == json.dumps({"n": 0, "scer": "identity", "border": [], "scover": [],
+                                  "lcover": [], "covers": [], "lseeds": []}) + "\n"
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, [str(tmp_path / "nope.txt")])
@@ -313,7 +320,10 @@ class TestStreaming:
     def stream_rows(self, capsys, argv):
         code, out, _ = run_cli(capsys, argv + ["--stream", "--format", "json"])
         assert code == 0
-        return [json.loads(line) for line in out.splitlines()]
+        rows = [json.loads(line) for line in out.splitlines()]
+        # each line is in json.dumps' default layout
+        assert out.splitlines() == list(map(json.dumps, rows))
+        return rows
 
     @pytest.mark.parametrize("scer", ["identity", "param", "op"])
     def test_stream_matches_batch_example(self, capsys, example_file, scer):
@@ -321,6 +331,10 @@ class TestStreaming:
         code, out, _ = run_cli(capsys, argv + ["--format", "json"])
         assert code == 0
         batch = json.loads(out)
+        b = border_array(EXAMPLE.encode(), scer)
+        assert out == json.dumps({"n": 16, "scer": scer, "border": b,
+                                  "scover": shortest_cover_array(b).scover,
+                                  "lcover": longest_cover_array(b).lcover}) + "\n"
         rows = self.stream_rows(capsys, argv)
         for row in rows:
             i = row["i"]
@@ -365,6 +379,7 @@ class TestStreaming:
         if fmt == "json":
             rows = [json.loads(line) for line in lines]
             assert all(list(row) == ["i", name] for row in rows)
+            assert lines == list(map(json.dumps, rows))
             rows = [row[name] if isinstance(row[name], list) else [row[name]] for row in rows]
         else:
             assert lines[0] == f"i\t{name}"
@@ -375,6 +390,8 @@ class TestStreaming:
             code, out, _ = run_cli(capsys, argv + [str(path)])
             assert code == 0
             batch = json.loads(out)[name] if fmt == "json" else values(out.splitlines()[1])
+            if fmt == "json":
+                assert out == json.dumps({"n": i, "scer": scer, name: batch}) + "\n"
             # a per-prefix array's row i is the last entry of the batch over T[:i]
             assert row == (batch if name in ("covers", "lseeds") else batch[-1:]), i
 
@@ -408,18 +425,23 @@ class TestStreaming:
         for row in self.stream_rows(capsys, argv):
             assert list(row) == ["i", "lcover", "border"]
 
-    @pytest.mark.parametrize("fmt", ["tsv", "json"])
-    def test_stream_repeated_arrays(self, capsys, example_file, fmt):
-        argv = ["--stream", "--format", fmt, example_file, "--arrays"]
+    @pytest.mark.parametrize("fmt, stream", [("tsv", True), ("json", True),
+                                             ("tsv", False), ("json", False)],
+                             ids=["tsv", "json", "batch-tsv", "batch-json"])
+    def test_stream_repeated_arrays(self, capsys, example_file, fmt, stream):
+        argv = ["--stream"] * stream + ["--format", fmt, example_file, "--arrays"]
         code, once, _ = run_cli(capsys, argv + ["covers,border"])
         assert code == 0
         code, twice, _ = run_cli(capsys, argv + ["covers,border,covers"])
         assert code == 0
         if fmt == "json":
-            assert twice == once  # a JSON row names each array once
-        else:
+            assert twice == once  # a JSON row or object names each array once
+        elif stream:
             rows = [line.split("\t") for line in once.splitlines()]
             assert [line.split("\t") for line in twice.splitlines()] == [r + r[1:2] for r in rows]
+        else:
+            rows = once.splitlines()
+            assert twice.splitlines() == rows + rows[1:2]  # the covers row again
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_list_cells_made_one_row_at_a_time(self, fmt):

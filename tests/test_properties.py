@@ -4,8 +4,11 @@ The exhaustive universes elsewhere stop at binary length 10 and ternary
 length 8; here hypothesis draws texts of length up to 30 over alphabets of
 up to n arbitrary non-negative symbols, for every relation, and builds the
 shortest and longest cover arrays over a drawn chunking of the border array.
-The CLI's tokens reader is checked against drawn token texts and reads.
+The CLI's tokens reader is checked against drawn token texts and reads,
+and its --stream rows against a drawn chunking of the input.
 """
+
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import KINDS
 from helpers import SplitStream
-from quasicover.border import border_array
-from quasicover.cli import read_chunks
+from quasicover.border import BorderBuilder, border_array
+from quasicover.cli import ARRAY_NAMES, _run, read_chunks
 from quasicover.covers import (
     LongestCoverArray,
     ShortestCoverArray,
@@ -122,3 +125,27 @@ def test_reader_stops_at_first_bad_token(values, data):
     with pytest.raises(ValueError, match="^bad token input: "):
         read_tokens(token_reads(data, words), got)
     assert got == values[:k]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_stream_rows_do_not_depend_on_chunking(data):
+    # a chunk's rows are one template pass; rows on either side of a chunk
+    # boundary must come out as they do inside one chunk
+    sigma = data.draw(st.integers(1, 4))
+    text = bytes(data.draw(st.lists(st.integers(97, 96 + sigma), min_size=1, max_size=120)))
+    chunks, k = [], 0
+    while k < len(text):
+        size = data.draw(st.integers(1, 70))
+        chunks.append(text[k:k + size])
+        k += size
+    kind = data.draw(st.sampled_from(KINDS))
+    fmt = data.draw(st.sampled_from(["tsv", "json"]))
+    arrays = data.draw(st.lists(st.sampled_from(ARRAY_NAMES), min_size=1, max_size=6))
+
+    def rows(pieces):
+        out = io.StringIO()
+        assert _run(iter(pieces), BorderBuilder(kind), arrays, fmt, True, out) is None
+        return out.getvalue()
+
+    assert rows(chunks) == rows([text])
