@@ -96,8 +96,7 @@ class BorderBuilder:
                     elif not param:
                         c = ~token
                     if param:
-                        j = last.get(token)
-                        c = 0 if j is None else i - j
+                        c = i - last.get(token, i)
                         last[token] = i
                     codes.append(c)
                     # codes[b] needs no clipping: every prev distance is <= its index
@@ -165,8 +164,6 @@ def border_array_generic(text: Sequence[int], kind: ScerKind | str) -> list[int]
     values: list[int] = []
     for i in range(1, len(t) + 1):
         b = values[-1] + 1 if values else 0
-        if b >= i:
-            b = i - 1
         while b > 0 and not equiv(t[:b], t[i - b:i], kind):
             b -= 1
         values.append(b)

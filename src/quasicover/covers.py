@@ -90,10 +90,8 @@ class ShortestCoverArray:
                 scover.append(i)
                 reach.append(i)
         except TypeError:
-            # a TypeError before this position's append came from b itself
-            if len(scover) < i:
-                raise ValueError(f"invalid border value {b!r} at position {i}") from None
-            raise
+            # every TypeError comes from a read of b, before this position's appends
+            raise ValueError(f"invalid border value {b!r} at position {i}") from None
         finally:
             self.op_count += 2 * (len(scover) - n0)
             self._prev_border = prev
@@ -123,9 +121,9 @@ class LongestCoverArray:
     _retired, the nodes j with dead[j] > 0 in ascending order. Nodes only
     ever retire, so the index is current while its length equals
     while_successes; a query rebuilds it as a new list when it is not, and
-    extend never touches it. longest_cover_array_li_smyth keeps
-    while_successes current for its hook, so a query from there sees the
-    retirements before the hook's position.
+    extend never touches it. longest_cover_array_li_smyth counts its
+    retirements into while_successes as it goes, so a query from its hook
+    sees the retirements before the hook's position.
     extend's inner loop walks prefix lengths ascending, which keeps every
     node's children count from being decremented after it reaches zero.
     The prefix lengths vacated at consecutive positions form consecutive
@@ -195,10 +193,8 @@ class LongestCoverArray:
                             retired += 1
                 prev = b
         except TypeError:
-            # a TypeError before this position's append came from b itself
-            if len(lcover) < i:
-                raise ValueError(f"invalid border value {b!r} at position {i}") from None
-            raise
+            # every TypeError comes from a read of b, before this position's appends
+            raise ValueError(f"invalid border value {b!r} at position {i}") from None
         finally:
             del children[len(lcover) + 1:], dead[len(lcover) + 1:]
             # Each position costs one step plus the length prev + 1 - b of its
@@ -246,7 +242,6 @@ def longest_cover_array_li_smyth(
     lca = LongestCoverArray()
     lcover, children, anc, dead = lca.lcover, lca.ls_children, lca.longest_ls_anc, lca.dead
     steps = 0
-    retired = 0
     prev = -1
     for i, b in enumerate(border, start=1):
         children.append(0)
@@ -258,21 +253,17 @@ def longest_cover_array_li_smyth(
         lcover.append(lc)
         children[lc] += 1
         if after_increment is not None:
-            # the count so far keeps _retired's key current for a query from the hook
-            lca.while_successes = retired
             after_increment(i, lca)
-        steps += 1
-        if i > 1:
-            steps += (i - b) - (i - 1 - prev)
-            for j in range(i - b - 1, i - 2 - prev, -1):
-                while children[j] == 0 and not dead[j]:
-                    dead[j] = i
-                    j = lcover[j - 1]
-                    children[j] -= 1
-                    retired += 1
+        # at i = 1, b == 0 and prev == -1: the range is empty
+        steps += 1 + (prev + 1 - b)
+        for j in range(i - b - 1, i - 2 - prev, -1):
+            while children[j] == 0 and not dead[j]:
+                dead[j] = i
+                j = lcover[j - 1]
+                children[j] -= 1
+                lca.while_successes += 1
         prev = b
-    lca.while_successes = retired
-    lca.op_count = steps + retired
+    lca.op_count = steps + lca.while_successes
     lca._prev_border = prev
     return lca
 
@@ -324,9 +315,9 @@ def left_seed_lengths(border: Sequence[int], lca: LongestCoverArray, i: int) -> 
     Border[i], i] never move. del keeps the slice's capacity, so an answer
     may hold up to while_successes spare slots.
     Otherwise the walk path takes the union of the ancestor chains of
-    [i - Border[i], i]. longest_cover_array_li_smyth keeps while_successes
-    current before each after_increment call, so a query from its hook sees
-    every retirement before position i. The walk path then answers right;
+    [i - Border[i], i]. longest_cover_array_li_smyth counts its retirements
+    into while_successes as it goes, so a query from its after_increment hook
+    sees every retirement before position i. The walk path then answers right;
     the cut path still counts the nodes that retire at i as left seeds.
     """
     if not (1 <= i <= len(lca.lcover)) or i > len(border):

@@ -71,8 +71,7 @@ def prev_encode(tokens: Sequence[int]) -> tuple[int, ...]:
     last: dict[int, int] = {}
     out = []
     for i, t in enumerate(tokens):
-        j = last.get(t)
-        out.append(0 if j is None else i - j)
+        out.append(i - last.get(t, i))
         last[t] = i
     return tuple(out)
 

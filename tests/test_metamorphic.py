@@ -1,13 +1,15 @@
 """Metamorphic checks at n = 10^4, where the oracles are too slow.
 
-A relabelling that keeps a text in the same equivalence class leaves every
-array unchanged, and identity matching implies the other two relations, so
-no identity border is longer than the param or op border at that position.
+A relabelling that keeps every equivalence between windows of a text (for
+op, any strictly monotone map) leaves every array unchanged, and identity
+matching implies the other two relations, so no identity border is longer
+than the param or op border at that position.
 Two implementations of one array agree: the CLI's stream with the batch
 functions, whatever the input's chunk sizes, and Li and Smyth's descending
 longest-cover loop with the ascending one, a chunked longest-cover build
-with the one-shot build, and both left-seed paths with a walk over the
-cover tree. Every cover is a border or the whole text. For identity and
+with the one-shot build, both left-seed paths with a walk over the cover
+tree, and the shortest-cover array with the root end of each longest-cover
+chain. Every cover is a border or the whole text. For identity and
 param, the border array, and at sampled positions the cover set, equal
 those read off the Z-array, an algorithm that shares nothing with the
 failure function. For param and op on random text, and for op on a text of
@@ -77,15 +79,22 @@ def arrays(text, kind):
     return b, shortest_cover_array(b).scover, longest_cover_array(b).lcover
 
 
+@pytest.mark.parametrize("direction", ["increasing", "decreasing"])
 @pytest.mark.parametrize("name", TEXTS)
-def test_order_iso_invariant_under_increasing_map(name):
+def test_order_iso_invariant_under_monotone_map(name, direction):
+    """A strictly decreasing map reverses every comparison, which swaps the
+    roles of the lo and hi neighbours, and keeps every equivalence."""
     text = TEXTS[name]
-    rng = random.Random(1)
-    image, v = {}, 0
-    for symbol in sorted(set(text)):
-        v += rng.randint(1, 1000)
-        image[symbol] = v
-    mapped = [image[t] for t in text]
+    if direction == "decreasing":
+        top = max(text)
+        mapped = [top - t for t in text]
+    else:
+        rng = random.Random(1)
+        image, v = {}, 0
+        for symbol in sorted(set(text)):
+            v += rng.randint(1, 1000)
+            image[symbol] = v
+        mapped = [image[t] for t in text]
     assert arrays(mapped, ScerKind.ORDER_ISO) == arrays(text, ScerKind.ORDER_ISO)
 
 
@@ -214,6 +223,17 @@ def test_li_smyth_equals_longest_cover_array(name, kind):
     b = border_array(TEXTS[name], kind)
     # whole-object equality: arrays, dead and counters
     assert longest_cover_array(b) == longest_cover_array_li_smyth(b)
+
+
+@pytest.mark.parametrize("kind", ScerKind)
+@pytest.mark.parametrize("name", TEXTS)
+def test_scover_is_root_end_of_lcover_chain(name, kind):
+    """T[:c] covers T[:i] exactly when c is on the cover-tree chain of i, so
+    the shortest cover of T[:i] is that of its longest proper cover, if any."""
+    b = border_array(TEXTS[name], kind)
+    scover = shortest_cover_array(b).scover
+    for i, lc in enumerate(longest_cover_array(b).lcover, start=1):
+        assert scover[i - 1] == (scover[lc - 1] if lc else i), i
 
 
 @pytest.mark.parametrize("kind", ScerKind)

@@ -66,6 +66,12 @@ class TestTokenSeq:
 
     def test_from_bytes(self):
         assert TokenSeq.from_bytes(b"ab") == (97, 98)
+        assert TokenSeq.from_bytes(bytearray(b"ab")) == (97, 98)
+        # only bytes-like input skips the token check
+        assert TokenSeq.from_bytes([97, 98]) == (97, 98)
+        for bad in ([-1], [0.5]):
+            with pytest.raises(ValueError):
+                TokenSeq.from_bytes(bad)
 
     @staticmethod
     def verdict(build, token):
