@@ -124,6 +124,9 @@ class LongestCoverArray:
     extend never touches it. longest_cover_array_li_smyth counts its
     retirements into while_successes as it goes, so a query from its hook
     sees the retirements before the hook's position.
+    A border value b whose node has retired (dead[b] != 0) takes its
+    parent's lowest left-seed ancestor into longest_ls_anc[b] before the
+    new node reads it; both longest-cover loops decide this from dead.
     extend's inner loop walks prefix lengths ascending, which keeps every
     node's children count from being decremented after it reaches zero.
     The prefix lengths vacated at consecutive positions form consecutive
@@ -174,7 +177,7 @@ class LongestCoverArray:
                     raise ValueError(f"invalid border value {b} at position {i}")
                 # read before the appends (b < i is not the new node), so a b
                 # that is no index raises with the state that of the valid prefix
-                if children[b] == 0 and 0 < 2 * b < i:
+                if dead[b]:
                     anc[b] = anc[lcover[b - 1]]
                 anc.append(i)
                 lc = anc[b]
@@ -231,7 +234,10 @@ def longest_cover_array_li_smyth(
     the hook as (i, that object) right after the children-count increment
     of position i, before its retirements. The vacated prefix-length range is
     processed top-down, so a retired node can be reached again; a nonzero
-    dead[j] keeps it from being decremented twice. The result equals
+    dead[j] keeps it from being decremented twice. It shares extend's
+    retirement test on the border value but keeps its own top-down range
+    walk with that dead guard, its own per-position appends, its own step
+    count and its own validation pass. The result equals
     longest_cover_array's, dead and counters included, and its extend()
     continues the text with the ascending loop.
     """

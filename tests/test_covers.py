@@ -459,8 +459,13 @@ class TestAlgorithmInvariants:
 
         lca = LongestCoverArray()
         for i, v in enumerate(b, start=1):
+            # extend's test for a retired border node reads dead alone: a
+            # node has retired exactly when it is childless and 0 < 2v < i
+            assert bool(lca.dead[v]) == (lca.ls_children[v] == 0 and 0 < 2 * v < i)
             lca.push(v)
             check(i, lca)
+            # a node that is still a left seed is its own lowest left-seed ancestor
+            assert all(lca.longest_ls_anc[j] == j for j, d in enumerate(lca.dead) if not d)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reach_invariant_small(self, kind):

@@ -9,12 +9,15 @@ functions, whatever the input's chunk sizes, and Li and Smyth's descending
 longest-cover loop with the ascending one, a chunked longest-cover build
 with the one-shot build, both left-seed paths with a walk over the cover
 tree, and the shortest-cover array with the root end of each longest-cover
-chain. Every cover is a border or the whole text. For identity and
-param, the border array, and at sampled positions the cover set, equal
-those read off the Z-array, an algorithm that shares nothing with the
-failure function. For param and op on random text, and for op on a text of
-distinct tokens, the border array equals the quadratic generic builder's,
-which shares nothing with the failure function either.
+chain. Before each chunk of a chunked longest-cover build, the node of the
+next border value v at position i has retired (dead[v] != 0) exactly when
+it has no left-seed children and 0 < 2v < i, which lets extend's
+retirement test read dead alone. Every cover is a border or the whole
+text. For identity and param, the border array, and at sampled positions
+the cover set, equal those read off the Z-array, an algorithm that shares
+nothing with the failure function. For param and op on random text, and
+for op on a text of distinct tokens, the border array equals the quadratic
+generic builder's, which shares nothing with the failure function either.
 """
 
 import random
@@ -289,6 +292,9 @@ def test_chunked_lcover_equals_one_shot(name, kind):
     lca = LongestCoverArray()
     while len(lca.lcover) < N:
         k = len(lca.lcover)
+        # the true next value, also ahead of the chunk that corrupts it
+        v = border[k]
+        assert bool(lca.dead[v]) == (lca.ls_children[v] == 0 and 0 < 2 * v < k + 1)
         chunk = border[k:k + rng.randint(1, 64)]
         e = k + len(chunk)
         if k < bad_at <= e:
