@@ -35,7 +35,8 @@ class BorderBuilder:
     equivalence relation.
 
     The relation is fixed when the builder is made, and it chooses the loop
-    that extend runs. Identity and param compare one code per position.
+    that extend runs. Identity and param compare one code per position, with
+    one match test per failure-link step; a mismatch at b = 0 gives 0.
     Order-isomorphism compares nearest-neighbour codes (Kim et al.,
     "Order-preserving matching", TCS 525, 2014), with an equality case for
     ties, which that paper excludes: position j stores in lo[j] and hi[j]
@@ -100,11 +101,15 @@ class BorderBuilder:
                         last[token] = i
                     codes.append(c)
                     # codes[b] needs no clipping: every prev distance is <= its index
-                    while b > 0 and (c if c <= b else 0) != codes[b]:
+                    while (c if c <= b else 0) != codes[b]:
+                        if not b:
+                            values.append(0)  # no border extends
+                            break
                         b = values[b - 1]
                         follows += 1
-                    b = pool[b + 1] if (c if c <= b else 0) == codes[b] else 0
-                    values.append(b)
+                    else:
+                        b = pool[b + 1]
+                        values.append(b)
             else:
                 lo, hi, distinct = self._lo, self._hi, self._distinct
                 for i, token in enumerate(tokens, len(codes)):

@@ -121,18 +121,20 @@ class LongestCoverArray:
     _retired, the nodes j with dead[j] > 0 in ascending order. Nodes only
     ever retire, so the index is current while its length equals
     while_successes; a query rebuilds it as a new list when it is not, and
-    extend never touches it. longest_cover_array_li_smyth counts its
-    retirements into while_successes as it goes, so a query from its hook
-    sees the retirements before the hook's position.
-    A border value b whose node has retired (dead[b] != 0) takes its
-    parent's lowest left-seed ancestor into longest_ls_anc[b] before the
-    new node reads it; both longest-cover loops decide this from dead.
-    extend's inner loop walks prefix lengths ascending, which keeps every
-    node's children count from being decremented after it reaches zero.
-    The prefix lengths vacated at consecutive positions form consecutive
-    ranges, so one pointer, len(lcover) - (last border value) at the start
-    of each extend, walks them all. extend sizes ls_children and dead to
-    the end of the chunk first and cuts them back when it stops.
+    extend never touches it. A border value b whose node has retired
+    (dead[b] != 0) takes its parent's lowest left-seed ancestor into
+    longest_ls_anc[b] before the new node reads it; both longest-cover
+    loops decide this from dead. extend's inner loop walks prefix lengths
+    ascending, which keeps every node's children count from being
+    decremented after it reaches zero. Position i vacates the prefix
+    lengths [lo, i - b), each range starting where the last one ended, so
+    one pointer lo walks them all; between positions it is len(lcover) -
+    (last border value). The step rule 0 <= b <= prev + 1 reads lo <= i -
+    b <= i, and i - b is the first use of b, so a value it rejects, of any
+    type, raises ValueError with the state of the valid prefix. op_count
+    counts one step per position, one per prefix length lo walks and one
+    per retirement. extend sizes ls_children and dead to the end of the
+    chunk first and cuts them back when it stops.
     """
 
     lcover: list[int] = field(default_factory=list)
@@ -159,24 +161,21 @@ class LongestCoverArray:
         k = len(border)
         # positions n0 + 1 .. n0 + k come from the shared pool
         pool = _naturals(n0 + k + 1)
-        prev = prev0 = self._prev_border
-        # Position i vacates the prefix lengths [i - 1 - prev, i - b). Each
-        # range starts where the last one ended, so one pointer walks them all.
-        lo = n0 - prev0
+        lo = lo0 = n0 - self._prev_border
         retired = 0
-        # nodes n0 + 1 .. n0 + k start at 0; the finally cuts what is unused.
-        # A tuple, not repeat(0, k): a one-value extend (push) pays about
-        # 0.7 us less, and the temporary is freed before the loop.
+        # nodes n0 + 1 .. n0 + k start at 0; the finally cuts what is unused. A
+        # tuple, not repeat(0, k), saves a push about 0.7 us, and is freed at once.
         children += (0,) * k
         dead += (0,) * k
         try:
             for b in border:
                 i = pool[i + 1]
-                # prev < i - 1 here, so b <= prev + 1 implies b < i
-                if not 0 <= b <= prev + 1:
+                # the step rule 0 <= b <= prev + 1 (so b < i) is lo <= hi <= i,
+                # in two compares, which cost less than one chained compare
+                hi = i - b
+                if hi < lo or hi > i:
                     raise ValueError(f"invalid border value {b} at position {i}")
-                # read before the appends (b < i is not the new node), so a b
-                # that is no index raises with the state that of the valid prefix
+                # read before the appends: a b that is no index leaves the valid prefix
                 if dead[b]:
                     anc[b] = anc[lcover[b - 1]]
                 anc.append(i)
@@ -184,28 +183,23 @@ class LongestCoverArray:
                 lcover.append(lc)
                 children[lc] += 1
                 # the vacated prefix lengths; none when b == prev + 1
-                if b <= prev:
-                    hi = i - b
-                    while lo < hi:
-                        j = lo
-                        lo += 1
-                        while children[j] == 0:
-                            dead[j] = i
-                            j = lcover[j - 1]
-                            children[j] -= 1
-                            retired += 1
-                prev = b
+                while lo < hi:
+                    j = lo
+                    lo += 1
+                    while children[j] == 0:
+                        dead[j] = i
+                        j = lcover[j - 1]
+                        children[j] -= 1
+                        retired += 1
         except TypeError:
-            # every TypeError comes from a read of b, before this position's appends
+            # every TypeError comes from a use of b, before this position's appends
             raise ValueError(f"invalid border value {b!r} at position {i}") from None
         finally:
             del children[len(lcover) + 1:], dead[len(lcover) + 1:]
-            # Each position costs one step plus the length prev + 1 - b of its
-            # range; over m positions the ranges telescope to m + prev0 - prev.
-            m = len(lcover) - n0
+            # after each position lo == i - b, so len(lcover) - lo is its b
             self.while_successes += retired
-            self.op_count += 2 * m + prev0 - prev + retired
-            self._prev_border = prev
+            self.op_count += len(lcover) - n0 + lo - lo0 + retired
+            self._prev_border = len(lcover) - lo
         return lcover
 
 

@@ -7,11 +7,11 @@ import random
 
 import pytest
 
-from conftest import EXAMPLE_TEXT, KINDS, TABLE1_BORDER, TABLE2_BORDER
+from conftest import EXAMPLE_TEXT, KINDS, TABLE1_BORDER, TABLE2_BORDER, acceptance_universe
 from quasicover.border import BorderBuilder, border_array, border_array_generic
 from quasicover.covers import validate_border_array
 from quasicover.oracle import brute_border_array
-from quasicover.scer import ScerKind
+from quasicover.scer import ScerKind, equiv
 
 
 class TestGolden:
@@ -154,6 +154,32 @@ class TestBuilder:
         builder = BorderBuilder(kind)
         builder.extend(text)
         assert builder.link_follows <= 2 * len(text)
+
+    @staticmethod
+    def recount_link_follows(text, border, kind):
+        """The failure-link steps of the KMP descent, recounted from the
+        finished border array: at each position, from Border[i-1] down the
+        border chain while T[:b+1] is not equivalent to T[i-b:i+1]."""
+        steps = 0
+        for i in range(1, len(text)):
+            b = border[i - 1]
+            while b > 0 and not equiv(text[:b + 1], text[i - b:i + 1], kind):
+                b = border[b - 1]
+                steps += 1
+        return steps
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_link_follows_exact(self, kind):
+        for s in acceptance_universe():
+            whole = BorderBuilder(kind)
+            whole.extend(s)
+            k = sum(s) % (len(s) + 1)
+            chunked = BorderBuilder(kind)
+            chunked.extend(s[:k])
+            chunked.extend(s[k:])
+            assert chunked.values == whole.values
+            steps = self.recount_link_follows(s, whole.values, kind)
+            assert whole.link_follows == chunked.link_follows == steps, s
 
 
 class TestValidation:

@@ -518,6 +518,26 @@ class TestLinearity:
         assert builder.op_count == 2 * len(TABLE1_BORDER)
 
 
+class IndexOne:
+    """A border value that compares and indexes like 1, but that an int
+    cannot subtract."""
+
+    def __index__(self):
+        return 1
+
+    def __lt__(self, other):
+        return 1 < other
+
+    def __le__(self, other):
+        return 1 <= other
+
+    def __gt__(self, other):
+        return 1 > other
+
+    def __ge__(self, other):
+        return 1 >= other
+
+
 class TestChunking:
     """extend over any chunking equals per-token push and the batch result."""
 
@@ -617,8 +637,9 @@ class TestChunking:
             k = rng.randint(0, len(border))
             bad = rng.choice((-1, (border[k - 1] if k else -1) + 2, k + 1))
             j = rng.randint(0, k)
-            # a non-int that passes the range check fails on its first index
-            for value in (bad, 0.0, 0.5, "1", None):
+            # a non-int that passes the range check fails on its first index;
+            # IndexOne indexes, but fails on the first subtraction
+            for value in (bad, 0.0, 0.5, "1", None, IndexOne()):
                 for cls in (ShortestCoverArray, LongestCoverArray):
                     arr = cls()
                     arr.extend(border[:j])
