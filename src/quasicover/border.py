@@ -15,7 +15,7 @@ from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .covers import _naturals
-from .scer import ScerKind, TokenSeq, equiv
+from .scer import ScerKind, TokenSeq, _checked, equiv
 
 
 class BorderBuilder:
@@ -25,11 +25,14 @@ class BorderBuilder:
     integer tokens, raises ValueError on anything else, and returns
     `values`, the border array of the tokens seen so far. A chunk that is
     not a list, tuple, bytes, bytearray or TokenSeq is read into a list
-    first. Each stored value is taken from the process-wide pool of prefix
-    lengths in covers (_NATURALS), so `values` holds no int objects of its
-    own. push(token) is a one-token extend that returns the new border
-    value. `link_follows` counts failure-link descents (amortized, at most
-    2n over the whole run); it is published once per extend.
+    first. The loop reads any chunk but bytes, bytearray and TokenSeq
+    through scer._checked, the token check TokenSeq uses, so a bad token
+    raises with the tokens before it stored. Each stored value is taken
+    from the process-wide pool of prefix lengths in covers (_NATURALS), so
+    `values` holds no int objects of its own. push(token) is a one-token
+    extend that returns the new border value. `link_follows` counts
+    failure-link descents (amortized, at most 2n over the whole run); it is
+    published once per extend.
     Descending the failure links is valid for every relation, because a
     border of a border is a border under any substring consistent
     equivalence relation.
@@ -69,12 +72,16 @@ class BorderBuilder:
     def extend(self, tokens: Iterable[int]) -> list[int]:
         codes, values, last = self._codes, self.values, self._last
         # every element of bytes or bytearray is an int in 0..255, and
-        # TokenSeq checked its tokens when it was built
+        # TokenSeq checked its tokens when it was built; any other chunk is
+        # read through _checked, after len has sized the pool
         check = not isinstance(tokens, (bytes, bytearray, TokenSeq))
         if check and not isinstance(tokens, (list, tuple)):
             tokens = list(tokens)
-        # no value exceeds len(codes) + len(tokens); each comes from the pool
-        pool = _naturals(len(codes) + len(tokens) + 1)
+        # a border is proper, so every value is below len(codes) + len(tokens);
+        # each comes from the pool
+        pool = _naturals(len(codes) + len(tokens))
+        if check:
+            tokens = _checked(tokens)
         # -1 before the first position: codes[-1] is then the code just
         # appended, which matches itself, and op's lo[-1] == hi[-1] == -1, so
         # the first value comes out 0
@@ -84,21 +91,11 @@ class BorderBuilder:
             if not self._op:
                 param = self._param
                 for i, token in enumerate(tokens, len(codes)):
-                    if check:
-                        # ~token is negative exactly when token is a non-negative
-                        # int; a TypeError (not an int) is rejected like a
-                        # negative token
-                        try:
-                            c = ~token
-                        except TypeError:
-                            c = 0
-                        if c >= 0:
-                            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
-                    elif not param:
-                        c = ~token
                     if param:
                         c = i - last.get(token, i)
                         last[token] = i
+                    else:
+                        c = ~token
                     codes.append(c)
                     # codes[b] needs no clipping: every prev distance is <= its index
                     while (c if c <= b else 0) != codes[b]:
@@ -113,14 +110,6 @@ class BorderBuilder:
             else:
                 lo, hi, distinct = self._lo, self._hi, self._distinct
                 for i, token in enumerate(tokens, len(codes)):
-                    if check:
-                        # the same test as above, inline: a per-token helper call costs more
-                        try:
-                            c = ~token
-                        except TypeError:
-                            c = 0
-                        if c >= 0:
-                            raise ValueError(f"tokens must be non-negative integers, got {token!r}")
                     j = last.get(token)
                     if j is None:
                         k = bisect_left(distinct, token)

@@ -10,7 +10,7 @@ encodings are equal.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ScerKind(enum.Enum):
@@ -29,26 +29,34 @@ class ScerKind(enum.Enum):
             raise ValueError(f"unknown equivalence relation {name!r}") from None
 
 
+def _checked(tokens: Iterable[int]) -> Iterator[int]:
+    """Yield each token; raise ValueError at the first that is not a
+    non-negative int. TokenSeq and BorderBuilder.extend both read their
+    tokens through it, so the token rule is written only here.
+    """
+    for t in tokens:
+        # ~t is negative exactly when t is a non-negative int; a TypeError
+        # (not an int) is rejected like a negative token
+        try:
+            c = ~t
+        except TypeError:
+            c = 0
+        if c >= 0:
+            raise ValueError(f"tokens must be non-negative integers, got {t!r}")
+        yield t
+
+
 class TokenSeq(tuple):
     """Immutable sequence of non-negative integer tokens.
 
-    It is just a tuple whose tokens were checked once, when it was built, so
-    ordinary 0-based indexing and slicing work.
+    It is just a tuple whose tokens were checked once, by _checked, when it
+    was built, so ordinary 0-based indexing and slicing work.
     """
 
     __slots__ = ()
 
     def __new__(cls, tokens: Iterable[int] = ()) -> "TokenSeq":
-        seq = super().__new__(cls, tokens)
-        for t in seq:
-            # BorderBuilder.extend's test: ~t < 0 exactly for non-negative ints
-            try:
-                c = ~t
-            except TypeError:
-                c = 0
-            if c >= 0:
-                raise ValueError(f"tokens must be non-negative integers, got {t!r}")
-        return seq
+        return super().__new__(cls, _checked(tokens))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TokenSeq":

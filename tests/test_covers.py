@@ -199,8 +199,11 @@ class TestQueries:
         assert not is_primitive(sca, 6)
         assert is_primitive(sca, 1)
         assert is_primitive(sca, 12)
+        assert not is_primitive(sca, 16)
         with pytest.raises(IndexError):
             is_primitive(sca, 0)
+        with pytest.raises(IndexError):
+            is_primitive(sca, 17)
 
     def test_left_seeds_order_iso_example(self):
         # adcbc with a<b<c<d: acb (length 3) is a left seed
@@ -377,6 +380,31 @@ class TestCutPathAtScale:
                 ans.clear()
                 assert all(pool[k] == k for k in range(i + 1))
                 assert left_seed_lengths(b, lca, i) == held, (kind, i)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_requests_from_an_empty_pool(kind, monkeypatch):
+    # Earlier tests have grown the process-wide pool, so a request one entry
+    # too short would go unseen there. From an empty pool (which grows by no
+    # slack below 8 entries) it raises IndexError. All-equal tokens reach the
+    # largest border value, n - 1.
+    for n in range(1, 9):
+        for text in ([0] * n, [j % 2 for j in range(n)], list(range(n))):
+            b = border_array(text, kind)
+            sca, lca = shortest_cover_array(b), longest_cover_array(b)
+            seeds = left_seed_lengths(b, lca, n)
+            monkeypatch.setattr(covers, "_NATURALS", [])
+            assert BorderBuilder(kind).extend(text) == b, (n, text)
+            monkeypatch.setattr(covers, "_NATURALS", [])
+            fresh_sca = ShortestCoverArray()
+            fresh_sca.extend(b)
+            assert fresh_sca == sca, (n, text)
+            monkeypatch.setattr(covers, "_NATURALS", [])
+            fresh_lca = LongestCoverArray()
+            fresh_lca.extend(b)
+            assert fresh_lca == lca, (n, text)
+            monkeypatch.setattr(covers, "_NATURALS", [])
+            assert left_seed_lengths(b, lca, n) == seeds, (n, text)
 
 
 def small_universe():
