@@ -25,7 +25,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from . import border as border_mod
 from . import covers as covers_mod
-from .scer import ScerKind
+from .scer import ScerKind, TokenSeq
 
 ARRAY_NAMES = ("border", "scover", "lcover", "covers", "lseeds")
 READ_SIZE = 1 << 16
@@ -66,10 +66,11 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
     there are none, so a chunk never waits for later input. In bytes mode a
     chunk is the bytes object itself; only a chunk-final newline is held
     back, because at EOF it is the dropped trailing newline. In tokens mode a
-    token is a non-negative integer written as ASCII digits, and a trailing
-    partial token is carried into the next chunk. Any other token, or one
-    too long for int(), is bad: the tokens before it are yielded first, then
-    ValueError is raised.
+    token is a non-negative integer written as ASCII digits, a chunk is a
+    TokenSeq, and a trailing partial token is carried into the next chunk.
+    BorderBuilder.extend checks neither kind of chunk again. Any other
+    token, or one too long for int(), is bad: the tokens before it are
+    yielded first, then ValueError is raised.
     """
     if mode == "bytes":
         held = b""
@@ -97,7 +98,9 @@ def read_chunks(stream: BinaryIO, mode: str) -> Iterator[Sequence[int]]:
         except ValueError as e:  # more digits than int() takes; the tokens before stay
             error = e
         if tokens:
-            yield tokens
+            # isdigit checked every token, so the TokenSeq is built as
+            # TokenSeq.from_bytes builds one, without a second check
+            yield tuple.__new__(TokenSeq, tokens)
         if error is not None:
             raise ValueError(f"bad token input: {error}")
         if not data:
@@ -143,8 +146,9 @@ def _run(chunks: Iterable[Sequence[int]], builder: border_mod.BorderBuilder | No
     Per chunk: one extend of the border stage (builder.extend, or list.extend
     when builder is None and the chunks are border values), then one extend
     of each cover array that `arrays` needs; with no builder, scover always
-    runs, as its extend checks the values. Every token of a chunk was
-    checked by read_chunks, so the border stage never stops mid-chunk.
+    runs, as its extend checks the values. Every token is checked once, by
+    read_chunks: a chunk is bytes or a TokenSeq, which builder.extend takes
+    as it is, so the border stage never stops mid-chunk.
     --stream then writes and flushes the chunk's rows, one pass of a row
     template over (i, *cells): a JSON line is in json.dumps' default layout,
     a TSV list cell is comma-joined. Batch gets n and the requested arrays

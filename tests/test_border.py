@@ -2,16 +2,18 @@
 Acceptance criterion 4 checks both builders against the oracle."""
 
 import copy
+import functools
 import pickle
 import random
 
 import pytest
 
 from conftest import EXAMPLE_TEXT, KINDS, TABLE1_BORDER, TABLE2_BORDER, acceptance_universe
+from helpers import borders_from_z, fibonacci, periodic_text, z_array
 from quasicover.border import BorderBuilder, border_array, border_array_generic
 from quasicover.covers import validate_border_array
 from quasicover.oracle import brute_border_array
-from quasicover.scer import ScerKind, equiv
+from quasicover.scer import ScerKind, TokenSeq, equiv
 
 
 class TestGolden:
@@ -180,6 +182,103 @@ class TestBuilder:
             assert chunked.values == whole.values
             steps = self.recount_link_follows(s, whole.values, kind)
             assert whole.link_follows == chunked.link_follows == steps, s
+
+
+def gallop_text(shape):
+    """Texts of 10^4 tokens below 256: long runs of matches, and none."""
+    rng = random.Random(shape)
+    n = 10_000
+    if shape == "periodic":
+        return periodic_text(rng, n)
+    if shape == "fibonacci":
+        return fibonacci(n)
+    if shape == "a5000ba5000":
+        return [0] * 5000 + [1] + [0] * 5000
+    return [rng.randrange(int(shape[len("random"):])) for _ in range(n)]
+
+
+GALLOP_SHAPES = ["periodic", "fibonacci", "a5000ba5000", "random2", "random256"]
+
+
+@functools.lru_cache(maxsize=None)
+def gallop_case(shape):
+    """The text, its border array from the Z-array, the push build, which
+    never gallops, and link_follows recounted."""
+    text = gallop_text(shape)
+    pushed = BorderBuilder(ScerKind.IDENTITY)
+    for t in text:
+        pushed.push(t)
+    z_border = borders_from_z(z_array(text))
+    steps = TestBuilder.recount_link_follows(tuple(text), z_border, ScerKind.IDENTITY)
+    return text, z_border, pushed, steps
+
+
+class TestGallop:
+    """Identity's extend gallops over runs of matches; push never does."""
+
+    def check(self, builder, z_border, pushed, steps):
+        assert builder.values == z_border
+        assert builder.values == pushed.values
+        assert builder.link_follows == pushed.link_follows == steps
+
+    @pytest.mark.parametrize("shape", GALLOP_SHAPES)
+    def test_push_build(self, shape):
+        text, z_border, pushed, steps = gallop_case(shape)
+        self.check(pushed, z_border, pushed, steps)
+
+    @pytest.mark.parametrize("form", [bytes, TokenSeq, list])
+    @pytest.mark.parametrize("shape", GALLOP_SHAPES)
+    def test_whole_chunk(self, shape, form):
+        text, *refs = gallop_case(shape)
+        builder = BorderBuilder(ScerKind.IDENTITY)
+        assert builder.extend(form(text)) is builder.values
+        self.check(builder, *refs)
+
+    @pytest.mark.parametrize("shape", GALLOP_SHAPES)
+    def test_splits_inside_runs(self, shape):
+        # cuts 40 positions into a run, where a gallop block is under way,
+        # and anywhere else
+        text, z_border, pushed, steps = gallop_case(shape)
+        rng = random.Random(shape)
+        in_runs = [k for k in range(41, len(text)) if z_border[k - 1] - z_border[k - 41] == 40]
+        cuts = sorted(set(rng.sample(in_runs, min(30, len(in_runs)))
+                          + rng.sample(range(1, len(text)), 30)))
+        builder = BorderBuilder(ScerKind.IDENTITY)
+        for lo, hi in zip([0] + cuts, cuts + [len(text)]):
+            builder.extend(rng.choice([bytes, TokenSeq, list])(text[lo:hi]))
+            assert builder.values == z_border[:hi]
+        self.check(builder, z_border, pushed, steps)
+
+    def test_bad_token_inside_a_run(self):
+        text, z_border, pushed, steps = gallop_case("periodic")
+        k = next(k for k in range(41, len(text)) if z_border[k - 1] - z_border[k - 41] == 40)
+        prefix = BorderBuilder(ScerKind.IDENTITY)
+        for t in text[:k]:
+            prefix.push(t)
+        builder = BorderBuilder(ScerKind.IDENTITY)
+        with pytest.raises(ValueError, match="got -1"):
+            builder.extend(text[:k] + [-1] + text[k:])
+        assert builder.values == z_border[:k]
+        assert len(builder._codes) == k
+        assert builder.link_follows == prefix.link_follows
+        builder.extend(text[k:])
+        self.check(builder, z_border, pushed, steps)
+
+    def test_gate(self):
+        # one token object throughout: a list slice compare tests identity
+        # first and never calls __ne__, so only the 8 single-position tests
+        # before the gallop count
+        class Counted(int):
+            tests = 0
+
+            def __ne__(self, other):
+                Counted.tests += 1
+                return int.__ne__(self, other)
+
+        builder = BorderBuilder(ScerKind.IDENTITY)
+        builder.extend([Counted(5)] * 1000)
+        assert builder.values == list(range(1000))
+        assert Counted.tests == 8
 
 
 class TestValidation:

@@ -24,7 +24,7 @@ from quasicover.covers import (
     longest_cover_array,
     shortest_cover_array,
 )
-from quasicover.scer import ScerKind
+from quasicover.scer import ScerKind, TokenSeq
 
 EXAMPLE = "abaababaabaababa"
 # int() refuses a digit string longer than this; 0 where it has no limit (before 3.11)
@@ -193,6 +193,22 @@ class TestInputModes:
         assert code == 2
         assert out == ""
         assert err == "error: bad token input: b'-2' is not ASCII digits\n"
+
+    @pytest.mark.parametrize("stream", [[], ["--stream"]])
+    @pytest.mark.parametrize("scer", ["identity", "param", "op"])
+    def test_tokens_are_checked_once(self, capsys, tmp_path, monkeypatch, scer, stream):
+        # read_chunks checks every token, so the border stage must not check again
+        path = tmp_path / "tokens.txt"
+        path.write_text(" ".join(str(1000 + t) for t in fibonacci(3000)))
+        argv = ["--scer", scer, "--input-mode", "tokens", str(path), *stream]
+        code, unpatched, _ = run_cli(capsys, argv)
+        assert code == 0
+
+        def second_check(tokens):
+            raise AssertionError("a token chunk was checked again")
+
+        monkeypatch.setattr("quasicover.border._checked", second_check)
+        assert run_cli(capsys, argv) == (0, unpatched, "")
 
     def test_trailing_newline_stripped_in_byte_mode(self, capsys, tmp_path):
         path = tmp_path / "text.txt"
@@ -588,6 +604,11 @@ class TestReadChunks:
             for chunk in read_chunks(SplitStream(pieces), "tokens"):
                 got += chunk
         assert got == [1, 2]
+
+    def test_token_chunks_are_token_seqs(self):
+        chunks = list(read_chunks(SplitStream([b"1 2 ", b"3 4"]), "tokens"))
+        assert chunks == [(1, 2), (3,), (4,)]
+        assert all(type(chunk) is TokenSeq for chunk in chunks)
 
     def test_leading_zeros_and_mixed_whitespace(self):
         # the final 2 could go on in the next read, so it comes at EOF
